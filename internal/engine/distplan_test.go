@@ -16,10 +16,10 @@ func TestDistributedGhostPlansMatchOracle(t *testing.T) {
 		{16, 2}, {64, 4}, {256, 7}, {1024, 32},
 	} {
 		a := benchTileAssignment(tc.boxes, tc.ranks, 0)
-		central := centralGhostPlans(a, tc.ranks, 2, "e1-", false)
+		central := centralGhostPlans(a, tc.ranks, 2, "e1-")
 		for me := 0; me < tc.ranks; me++ {
 			var sc commScratch
-			got := buildGhostPlan(newAsnView(a, me), me, 2, "e1-", false, &sc)
+			got := buildGhostPlan(newAsnView(a, me), me, 2, "e1-", &sc)
 			if !ghostPlansEqual(got, central[me]) {
 				t.Fatalf("boxes=%d ranks=%d: rank %d distributed ghost plan differs from oracle",
 					tc.boxes, tc.ranks, me)
@@ -100,7 +100,10 @@ func TestDeltaBroadcastRoundTrip(t *testing.T) {
 		if !wire.Delta {
 			t.Fatal("expected the delta wire form for an owner-only change")
 		}
-		got := applyDelta(prev, &wire, me)
+		got, err := applyDelta(prev, &wire, me)
+		if err != nil {
+			t.Fatalf("rank %d: %v", me, err)
+		}
 		want := newAsnView(next, me)
 		if !reflect.DeepEqual(got.Owners, want.Owners) {
 			t.Fatalf("rank %d: delta owners diverged", me)
@@ -180,8 +183,8 @@ func TestCentralPlansBitExact3D(t *testing.T) {
 }
 
 // TestCentralPlansBitExact3DOverTCP repeats the differential over real
-// sockets, per-pair exchange mode, so both plan paths also agree about
-// per-pair tags and message ordering on a buffered wire.
+// sockets, so both plan paths also agree about frame region order on a
+// buffered wire.
 func TestCentralPlansBitExact3DOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP differential skipped in -short")
@@ -189,7 +192,6 @@ func TestCentralPlansBitExact3DOverTCP(t *testing.T) {
 	cfg := euler3DConfig(6)
 	cfg.RepartEvery = 3
 	cfg.CapsAt = capsSwitcher(3)
-	cfg.PerPairExchange = true
 	runCentralAndDistributed(t, cfg, func() []transport.Endpoint {
 		eps, err := transport.NewTCPGroup(3, "127.0.0.1")
 		if err != nil {

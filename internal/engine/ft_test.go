@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -103,7 +104,7 @@ func TestFaultRecoveryBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ftConfig(t, iters, dir)
-	cfg.Fault = &FaultPlan{Rank: 2, Iter: 10}
+	cfg.Faults = FaultSchedule{{Kind: FaultCrash, Rank: 2, Iter: 10}}
 	results := runSPMD(t, wrapFaulty(eps), cfg)
 
 	if !results[2].Crashed {
@@ -179,7 +180,7 @@ func TestFaultNoCheckpointRestartsFromInit(t *testing.T) {
 	cfg.CapsAt = capsSwitcher(4)
 	cfg.RecvDeadline = 200 * time.Millisecond
 	cfg.FT = FTConfig{Enabled: true} // no checkpointing configured
-	cfg.Fault = &FaultPlan{Rank: 1, Iter: 3}
+	cfg.Faults = FaultSchedule{{Kind: FaultCrash, Rank: 1, Iter: 3}}
 	results := runSPMD(t, wrapFaulty(eps), cfg)
 
 	if !results[1].Crashed {
@@ -207,7 +208,7 @@ func TestFaultSilentPeerErrRankDown(t *testing.T) {
 	cfg := spmdConfig(8)
 	cfg.CapsAt = capsSwitcher(2)
 	cfg.RecvDeadline = 150 * time.Millisecond
-	cfg.Fault = &FaultPlan{Rank: 1, Iter: 2}
+	cfg.Faults = FaultSchedule{{Kind: FaultCrash, Rank: 1, Iter: 2}}
 
 	var wg sync.WaitGroup
 	results := make([]*SPMDResult, 2)
@@ -272,7 +273,7 @@ func TestFaultRecoveryTCP(t *testing.T) {
 		CheckpointDir:   t.TempDir(),
 		SyncCheckpoint:  true,
 	}
-	cfg.Fault = &FaultPlan{Rank: 1, Iter: 6}
+	cfg.Faults = FaultSchedule{{Kind: FaultCrash, Rank: 1, Iter: 6}}
 	results := runSPMD(t, wrapFaulty(eps), cfg)
 
 	if !results[1].Crashed {
@@ -288,17 +289,38 @@ func TestFaultRecoveryTCP(t *testing.T) {
 	requireSameField(t, got, want, "tcp recovery vs fault-free")
 }
 
-// TestFaultPlanRequiresKiller verifies a FaultPlan on a bare endpoint is
-// rejected instead of silently ignored.
-func TestFaultPlanRequiresKiller(t *testing.T) {
+// TestFaultScheduleRequiresKiller verifies a scheduled crash on a bare
+// endpoint is rejected instead of silently ignored.
+func TestFaultScheduleRequiresKiller(t *testing.T) {
 	eps, err := transport.NewGroup(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := spmdConfig(2)
 	cfg.CapsAt = capsSwitcher(1)
-	cfg.Fault = &FaultPlan{Rank: 0, Iter: 0}
+	cfg.Faults = FaultSchedule{{Kind: FaultCrash, Rank: 0, Iter: 0}}
 	if _, err := RunSPMDRank(eps[0], cfg); err == nil {
-		t.Error("bare endpoint accepted a fault plan")
+		t.Error("bare endpoint accepted a scheduled crash")
+	}
+}
+
+// TestFaultScheduleValidatedOnBothEntryPoints verifies RunSPMDRank and
+// RejoinSPMDRank both reject a schedule naming a rank outside the group.
+func TestFaultScheduleValidatedOnBothEntryPoints(t *testing.T) {
+	cfg := ftConfig(t, 4, t.TempDir())
+	cfg.CapsAt = capsSwitcher(2)
+	cfg.FT.RejoinDeadline = 100 * time.Millisecond
+	cfg.Faults = FaultSchedule{{Kind: FaultCrash, Rank: 2, Iter: 1}}
+	for name, run := range map[string]func(transport.Endpoint, SPMDConfig) (*SPMDResult, error){
+		"RunSPMDRank":    RunSPMDRank,
+		"RejoinSPMDRank": RejoinSPMDRank,
+	} {
+		eps, err := transport.NewGroup(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run(wrapFaulty(eps)[0], cfg); err == nil || !strings.Contains(err.Error(), "outside [0,2)") {
+			t.Errorf("%s: err = %v, want the schedule rejected for rank 2 of a 2-rank group", name, err)
+		}
 	}
 }

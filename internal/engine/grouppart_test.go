@@ -24,12 +24,14 @@ func hierSPMDConfig(iters, ranks int) SPMDConfig {
 
 // TestGroupLocalPartitionMatchesCentralPerRank drives the group-local
 // gather directly: every rank slices its own group and the leaders feed
-// rank 0's assembly, which must be bit-identical (DeepEqual, floats
+// the root's assembly, which must be bit-identical (DeepEqual, floats
 // included) to the centralized Hierarchical.Partition — before and after
-// the capacity shift, and at a ragged rank count.
+// the capacity shift, and at a ragged rank count. The root then shares the
+// result, and every rank's decoded view must equal the root's.
 func TestGroupLocalPartitionMatchesCentralPerRank(t *testing.T) {
 	for _, ranks := range []int{4, 5} {
 		cfg := hierSPMDConfig(4, ranks)
+		cfg.NoAffinityRemap = true // no standing assignment to relabel against
 		h := cfg.Partitioner.(*partition.Hierarchical)
 		for _, iter := range []int{0, 8} {
 			eps, err := transport.NewGroup(ranks)
@@ -37,14 +39,22 @@ func TestGroupLocalPartitionMatchesCentralPerRank(t *testing.T) {
 				t.Fatal(err)
 			}
 			asns := make([]*partition.Assignment, ranks)
+			views := make([]*asnView, ranks)
 			errs := make([]error, ranks)
 			var wg sync.WaitGroup
 			for r := range eps {
 				wg.Add(1)
 				go func(r int) {
 					defer wg.Done()
-					res := &SPMDResult{Rank: r}
-					asns[r], errs[r] = cfg.groupLocalPartition(eps[r], h, iter, res)
+					run, err := newSPMDRun(eps[r], cfg)
+					if err != nil {
+						errs[r] = err
+						return
+					}
+					if asns[r], errs[r] = run.gatherSegments(h, iter); errs[r] != nil {
+						return
+					}
+					views[r], errs[r] = run.shareAssignment(asns[r], iter)
 				}(r)
 			}
 			wg.Wait()
@@ -62,7 +72,10 @@ func TestGroupLocalPartitionMatchesCentralPerRank(t *testing.T) {
 			}
 			for r := 1; r < ranks; r++ {
 				if asns[r] != nil {
-					t.Fatalf("rank %d returned a non-nil assignment; only rank 0 assembles", r)
+					t.Fatalf("rank %d returned a non-nil assignment; only the root assembles", r)
+				}
+				if !reflect.DeepEqual(views[r].Assignment, views[0].Assignment) {
+					t.Fatalf("ranks=%d iter=%d: rank %d decoded a view that differs from the root's", ranks, iter, r)
 				}
 			}
 		}

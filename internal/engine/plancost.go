@@ -11,7 +11,7 @@ import (
 
 // PlanCostReport is one measurement of RepartitionPlanCost: the per-rank
 // cost of the distributed plan builders against the retained centralized
-// full build, plus the broadcast sizes of the two wire forms.
+// full build, plus the encoded sizes of the two assignment wire forms.
 type PlanCostReport struct {
 	// PerRankSec is the mean wall time one sampled rank spends building its
 	// own ghost and migration plans (steady state: indexes warm, own-box
@@ -24,8 +24,8 @@ type PlanCostReport struct {
 	// OracleOK reports that every sampled rank's distributed plans were
 	// bit-identical to the centralized oracle's.
 	OracleOK bool
-	// FullWireBytes and DeltaWireBytes are the encoded broadcast sizes of
-	// the full box→owner table and the owner-delta form (equal to full when
+	// FullWireBytes and DeltaWireBytes are the encoded sizes of the full
+	// box→owner table and the owner-delta form (equal to full when
 	// the tiling changed and deltas do not apply).
 	FullWireBytes  int
 	DeltaWireBytes int
@@ -49,7 +49,7 @@ func RepartitionPlanCost(old, next *partition.Assignment, size int, sampleRanks 
 		}
 	}
 	t0 := time.Now()
-	cg := centralGhostPlans(next, size, ghost, "", false)
+	cg := centralGhostPlans(next, size, ghost, "")
 	cm := centralMigPlans(old, next, size)
 	rep.CentralSec = time.Since(t0).Seconds()
 
@@ -63,7 +63,7 @@ func RepartitionPlanCost(old, next *partition.Assignment, size int, sampleRanks 
 		sc.indexes.get(next.Boxes)
 		t0 := time.Now()
 		mp := buildMigPlan(ov, nv, me, &sc)
-		gp := buildGhostPlan(nv, me, ghost, "", false, &sc)
+		gp := buildGhostPlan(nv, me, ghost, "", &sc)
 		total += time.Since(t0).Seconds()
 		if !ghostPlansEqual(gp, cg[me]) || !reflect.DeepEqual(mp, cm[me]) {
 			rep.OracleOK = false
@@ -86,8 +86,7 @@ func RepartitionPlanCost(old, next *partition.Assignment, size int, sampleRanks 
 // ghostPlansEqual compares two ghost plans field by field, ignoring the
 // scratch handle (an execution resource, not part of the plan).
 func ghostPlansEqual(a, b *ghostPlan) bool {
-	return a.perPair == b.perPair &&
-		reflect.DeepEqual(a.sends, b.sends) &&
+	return reflect.DeepEqual(a.sends, b.sends) &&
 		reflect.DeepEqual(a.recvs, b.recvs) &&
 		reflect.DeepEqual(a.sendPeers, b.sendPeers) &&
 		reflect.DeepEqual(a.recvPeers, b.recvPeers) &&

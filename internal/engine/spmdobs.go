@@ -8,8 +8,7 @@ import (
 
 // spmdObs holds one rank's pre-registered SPMD metric handles. It hangs off
 // the rank's commScratch so the shared communication paths (postSends,
-// finishRecvs, redistribute) see it from both the plain and the
-// fault-tolerant runner without signature changes. The nil *spmdObs
+// finishRecvs, redistribute) see it without signature changes. The nil *spmdObs
 // disables everything: every method no-ops, and the run is bit-identical
 // to an uninstrumented one.
 type spmdObs struct {

@@ -24,11 +24,11 @@ func TestParallelPlanBuildersBitExact(t *testing.T) {
 		}
 		for me := 0; me < tc.ranks; me++ {
 			var serial commScratch
-			wantGhost := buildGhostPlan(newAsnView(a, me), me, 2, "e1-", false, &serial)
+			wantGhost := buildGhostPlan(newAsnView(a, me), me, 2, "e1-", &serial)
 			wantMig := buildMigPlan(newAsnView(a, me), newAsnView(next, me), me, &serial)
 			for _, w := range []int{2, 3, 8} {
 				par := commScratch{workers: w}
-				gotGhost := buildGhostPlan(newAsnView(a, me), me, 2, "e1-", false, &par)
+				gotGhost := buildGhostPlan(newAsnView(a, me), me, 2, "e1-", &par)
 				if !ghostPlansEqual(gotGhost, wantGhost) {
 					t.Fatalf("boxes=%d ranks=%d rank %d workers=%d: ghost plan differs from serial",
 						tc.boxes, tc.ranks, me, w)

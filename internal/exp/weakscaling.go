@@ -34,8 +34,9 @@ type WeakScalingRow struct {
 	CentralMS float64
 	// Speedup is CentralMS over PerRankUS (same units).
 	Speedup float64
-	// FullKB and DeltaKB are the broadcast sizes of the full box→owner table
-	// and the owner-delta wire form for this repartition.
+	// FullKB and DeltaKB are the sizes of the full box→owner table and the
+	// owner-delta wire form for this repartition, as the hierarchical
+	// gather's root sends them.
 	FullKB  float64
 	DeltaKB float64
 	// OracleOK reports the sampled distributed plans matched the
