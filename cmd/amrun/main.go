@@ -75,13 +75,11 @@ func main() {
 			"relabel repartition output toward the previous owners (partition.RemapOwners) to cut migration volume at unchanged balance")
 		obsAddr = flag.String("obs-addr", "",
 			"serve /metrics, /state, /healthz and pprof on this address while running (e.g. 127.0.0.1:9190)")
-		events = flag.String("events", "",
-			"write the observability span log (JSONL) to this file; render it with cmd/obsreport")
-		obsSeed = flag.Int64("obs-seed", 0, "seed for the run ID in metrics and event logs (0 = wall clock)")
+		obsSeed = flag.Int64("obs-seed", 0, "seed for the run ID reported by /healthz and /state (0 = wall clock)")
 		spmd    = flag.Int("spmd", 0,
-			"run an in-process N-rank SPMD group (channel transport, FT on) instead of the virtual-cluster engine; honors -kernel, -iters, -fault-spec, -straggler-shed, -trace")
+			"run an in-process N-rank SPMD group (channel transport, FT on) instead of the virtual-cluster engine; honors -kernel, -iters, -fault-spec, -straggler-shed, -obs-addr, -trace")
 		traceOut = flag.String("trace", "",
-			"with -spmd, write the distributed trace log (JSONL) to this file; analyze it with cmd/tracepath")
+			"write the span log (JSONL) to this file; analyze it with cmd/tracepath")
 	)
 	flag.Parse()
 
@@ -101,22 +99,55 @@ func main() {
 	if *stragShed {
 		straggler = monitor.DefaultStragglerPolicy()
 	}
+
+	var obsRT *obs.Runtime
+	if *obsAddr != "" || *traceOut != "" {
+		var f *os.File
+		var tw io.Writer
+		if *traceOut != "" {
+			var err error
+			if f, err = os.Create(*traceOut); err != nil {
+				fmt.Fprintln(os.Stderr, "amrun:", err)
+				os.Exit(1)
+			}
+			tw = f
+		}
+		obsRT = obs.New(obs.Config{Seed: *obsSeed, Trace: tw})
+		defer func() {
+			if err := obsRT.Flush(); err != nil {
+				fmt.Fprintln(os.Stderr, "amrun: flush span log:", err)
+			}
+			if f != nil {
+				if err := f.Close(); err != nil {
+					fmt.Fprintln(os.Stderr, "amrun: close span log:", err)
+				}
+			}
+		}()
+		if *obsAddr != "" {
+			srv, err := obsRT.Serve(*obsAddr)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "amrun:", err)
+				os.Exit(1)
+			}
+			defer srv.Close()
+			fmt.Fprintf(os.Stderr, "amrun: observability on http://%s (run %s)\n",
+				srv.Addr(), obsRT.RunIDString())
+		}
+	}
+
 	if *spmd > 0 {
 		if err := runSPMD(*spmd, spmdOpts{
 			kernel:    *kernel,
 			iters:     *iters,
-			tracePath: *traceOut,
 			faults:    faults,
 			straggler: straggler,
+			obs:       obsRT,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "amrun:", err)
+			_ = obsRT.Flush() // best effort: keep the partial span log of a failed run
 			os.Exit(1)
 		}
 		return
-	}
-	if *traceOut != "" {
-		fmt.Fprintln(os.Stderr, "amrun: -trace requires -spmd (distributed tracing instruments the SPMD runtime)")
-		os.Exit(2)
 	}
 
 	var sensorFaults *monitor.ProbeFaultSpec
@@ -221,36 +252,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "amrun: unknown kernel %q\n", *kernel)
 		os.Exit(2)
-	}
-
-	var obsRT *obs.Runtime
-	if *obsAddr != "" || *events != "" {
-		var evw io.Writer
-		if *events != "" {
-			f, err := os.Create(*events)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "amrun:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			evw = f
-		}
-		obsRT = obs.New(obs.Config{Seed: *obsSeed, Events: evw})
-		defer func() {
-			if err := obsRT.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "amrun: flush events:", err)
-			}
-		}()
-		if *obsAddr != "" {
-			srv, err := obsRT.Serve(*obsAddr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "amrun:", err)
-				os.Exit(1)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "amrun: observability on http://%s (run %s)\n",
-				srv.Addr(), obsRT.RunIDString())
-		}
 	}
 
 	clus, err := cluster.New(cluster.Uniform(*nodes, cluster.LinuxWorkstation()), cluster.DefaultParams())

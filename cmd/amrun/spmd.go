@@ -9,7 +9,7 @@ import (
 	"samrpart/internal/engine"
 	"samrpart/internal/geom"
 	"samrpart/internal/monitor"
-	otrace "samrpart/internal/obs/trace"
+	"samrpart/internal/obs"
 	"samrpart/internal/partition"
 	"samrpart/internal/solver"
 	"samrpart/internal/transport"
@@ -19,15 +19,15 @@ import (
 type spmdOpts struct {
 	kernel    string
 	iters     int
-	tracePath string
 	faults    engine.FaultSchedule
 	straggler monitor.StragglerPolicy
+	obs       *obs.Runtime // -obs-addr / -trace; nil = off
 }
 
 // runSPMD runs an in-process n-rank SPMD group (channel transport, FT on)
-// and prints a per-rank summary. With -trace it writes the distributed
-// trace log that cmd/tracepath analyzes — this is the driver the nightly
-// traced chaos soak uses.
+// and prints a per-rank summary. With -trace the runtime writes the span
+// log that cmd/tracepath analyzes — this is the driver the nightly traced
+// chaos soak uses.
 func runSPMD(n int, o spmdOpts) error {
 	if n < 2 {
 		return fmt.Errorf("-spmd needs at least 2 ranks, got %d", n)
@@ -54,6 +54,7 @@ func runSPMD(n int, o spmdOpts) error {
 		ControlDeadline: 500 * time.Millisecond,
 		Faults:          o.faults,
 		Straggler:       o.straggler,
+		Obs:             o.obs,
 	}
 	switch o.kernel {
 	case "advect2d":
@@ -88,24 +89,6 @@ func runSPMD(n int, o spmdOpts) error {
 		CheckpointDir:   ckDir,
 		SyncCheckpoint:  true,
 		CheckpointKeep:  2,
-	}
-
-	if o.tracePath != "" {
-		f, err := os.Create(o.tracePath)
-		if err != nil {
-			return err
-		}
-		tl := otrace.NewLog(f)
-		cfg.Trace = tl
-		defer func() {
-			if err := tl.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "amrun: flush trace:", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "amrun: close trace:", err)
-			}
-			fmt.Fprintf(os.Stderr, "amrun: trace log written to %s (analyze with cmd/tracepath)\n", o.tracePath)
-		}()
 	}
 
 	eps, err := transport.NewGroup(n)

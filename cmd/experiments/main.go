@@ -6,8 +6,8 @@
 //	go run ./cmd/experiments -fig7 -table3
 //	go run ./cmd/experiments -ablations
 //
-// With -events the studies append a JSONL span log that cmd/obsreport can
-// render; with -obs-addr a live /metrics + /state + pprof endpoint serves
+// With -trace the studies write a JSONL span log that cmd/tracepath
+// renders; with -obs-addr a live /metrics + /state + pprof endpoint serves
 // while the studies run.
 package main
 
@@ -63,7 +63,7 @@ type options struct {
 	memProf      *string
 
 	obsAddr *string
-	events  *string
+	trace   *string
 	obsSeed *int64
 }
 
@@ -98,8 +98,8 @@ func registerFlags(fs *flag.FlagSet) *options {
 	o.cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
 	o.memProf = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	o.obsAddr = fs.String("obs-addr", "", "serve /metrics, /state, /healthz and pprof on this address while running (e.g. 127.0.0.1:9190)")
-	o.events = fs.String("events", "", "append the observability span log (JSONL) to this file; render it with cmd/obsreport")
-	o.obsSeed = fs.Int64("obs-seed", 0, "seed for the run ID in metrics and event logs (0 = wall clock)")
+	o.trace = fs.String("trace", "", "write the span log (JSONL) to this file; analyze it with cmd/tracepath")
+	o.obsSeed = fs.Int64("obs-seed", 0, "seed for the run ID reported by /healthz and /state (0 = wall clock)")
 	return o
 }
 
@@ -156,22 +156,27 @@ func main() {
 		}()
 	}
 
-	if *o.obsAddr != "" || *o.events != "" {
-		var evw io.Writer
-		if *o.events != "" {
-			f, err := os.Create(*o.events)
-			if err != nil {
+	if *o.obsAddr != "" || *o.trace != "" {
+		var f *os.File
+		var tw io.Writer
+		if *o.trace != "" {
+			var err error
+			if f, err = os.Create(*o.trace); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
 				os.Exit(1)
 			}
-			defer f.Close()
-			evw = f
+			tw = f
 		}
-		rt := obs.New(obs.Config{Seed: *o.obsSeed, Events: evw})
+		rt := obs.New(obs.Config{Seed: *o.obsSeed, Trace: tw})
 		exp.SetObs(rt)
 		defer func() {
 			if err := rt.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: flush events:", err)
+				fmt.Fprintln(os.Stderr, "experiments: flush span log:", err)
+			}
+			if f != nil {
+				if err := f.Close(); err != nil {
+					fmt.Fprintln(os.Stderr, "experiments: close span log:", err)
+				}
 			}
 		}()
 		if *o.obsAddr != "" {

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"samrpart/internal/obs"
 )
 
 // sampleTrace is a deterministic two-rank log: rank 1 computes late, rank 0
@@ -101,5 +103,101 @@ func TestTracepathEmptyInput(t *testing.T) {
 	var out strings.Builder
 	if err := run(strings.NewReader("garbage\n"), &out, 3, "", ""); err == nil {
 		t.Error("want an error on a log with no valid records")
+	}
+}
+
+// sampleLog builds a real span log via the obs runtime so the breakdown is
+// tested against the writer's actual wire format: two ranks over three
+// iterations each compute and then wait on a 1 MiB halo from the other, and
+// the engine (rank -1) records one sense span.
+func sampleLog(t *testing.T) string {
+	t.Helper()
+	var sb strings.Builder
+	rt := obs.New(obs.Config{Seed: 42, Trace: &sb})
+	recs := []*obs.Recorder{rt.Recorder(0), rt.Recorder(1)}
+	for iter := 0; iter < 3; iter++ {
+		for rank, rec := range recs {
+			rec.SetPos(0, iter)
+			rec.Span(obs.PhaseCompute).End()
+			w := rec.WaitSpan(obs.PhaseHaloWait, 1-rank)
+			rec.RecvUntraced(1-rank, obs.KindHalo, 1<<20)
+			w.End()
+		}
+	}
+	rt.Recorder(-1).Span(obs.PhaseSense).End()
+	if err := rt.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+func TestReportBreakdown(t *testing.T) {
+	var out strings.Builder
+	if err := run(strings.NewReader(sampleLog(t)), &out, 3, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"13 spans",
+		"per-phase breakdown",
+		"per-rank breakdown",
+		"sense",
+		"compute",
+		"halo-wait",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("report missing %q in:\n%s", want, got)
+		}
+	}
+	// 2 ranks x 3 iters x 1 MiB halo received each: the halo-wait phase
+	// row carries 6.291 MB, each rank row half that.
+	if !strings.Contains(got, "6.291") {
+		t.Errorf("per-phase MB column missing 6.291:\n%s", got)
+	}
+	if !strings.Contains(got, "3.146") {
+		t.Errorf("per-rank MB column missing 3.146:\n%s", got)
+	}
+	// The engine control loop reports as rank -1.
+	if !strings.Contains(got, "-1") {
+		t.Errorf("rank -1 row missing:\n%s", got)
+	}
+}
+
+func TestReportCSV(t *testing.T) {
+	var out strings.Builder
+	if err := run(strings.NewReader(sampleLog(t)), &out, 3, "", "phase"); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 4 { // header + sense + compute + halo-wait
+		t.Fatalf("want 4 CSV lines, got %d:\n%s", len(lines), out.String())
+	}
+	if !strings.HasPrefix(lines[0], "phase,") {
+		t.Errorf("CSV header = %q", lines[0])
+	}
+	out.Reset()
+	if err := run(strings.NewReader(sampleLog(t)), &out, 3, "", "rank"); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSpace(out.String()), "\n"); len(lines) != 4 { // header + ranks -1, 0, 1
+		t.Fatalf("want 4 rank CSV lines, got %d:\n%s", len(lines), out.String())
+	}
+
+	if err := run(strings.NewReader(sampleLog(t)), &out, 3, "", "bogus"); err == nil {
+		t.Error("bogus -csv table accepted")
+	}
+}
+
+// TestReportMalformedInput proves the breakdown survives a log whose tail
+// was truncated mid-write: the malformed line is skipped, the surviving
+// records are still analyzed.
+func TestReportMalformedInput(t *testing.T) {
+	var out strings.Builder
+	in := sampleLog(t) + `{"k":"s","r":0,"ph":"compute","t0":1500,"t1`
+	if err := run(strings.NewReader(in), &out, 3, "", ""); err != nil {
+		t.Fatalf("truncated trailing line should be skipped, got %v", err)
+	}
+	if !strings.Contains(out.String(), "13 spans") {
+		t.Errorf("surviving records not analyzed:\n%s", out.String())
 	}
 }

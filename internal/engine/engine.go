@@ -277,7 +277,7 @@ func (e *Engine) work() partition.WorkFunc {
 // sensor dead) keeps the previous capacities — or falls back to a uniform
 // split before any are known — instead of aborting the run.
 func (e *Engine) sense(iter int) error {
-	sp := e.ob.rt.Span(obs.PhaseSense, -1, iter)
+	sp := e.ob.rec.Span(obs.PhaseSense)
 	defer sp.End()
 	ms := e.mon.Sense(e.clus.Now())
 	caps, err := capacity.RelativeMasked(ms, e.cfg.Weights, e.mon.Alive())
@@ -411,7 +411,7 @@ func (e *Engine) repartition(iter int, maySkip bool) error {
 		return nil
 	}
 	boxes := e.hier.AllBoxes()
-	psp := e.ob.rt.Span(obs.PhasePartition, -1, iter)
+	psp := e.ob.rec.Span(obs.PhasePartition)
 	assign, err := e.partitionValidated(boxes)
 	psp.End()
 	if err == nil && e.cfg.AffinityRemap && e.assign != nil {
@@ -419,7 +419,7 @@ func (e *Engine) repartition(iter int, maySkip bool) error {
 		// already holding most of its cells. Balance is preserved (the remap
 		// never exceeds the unmapped max imbalance), so the hysteresis
 		// comparison below still sees the partitioner's quality.
-		rsp := e.ob.rt.Span(obs.PhaseRemap, -1, iter)
+		rsp := e.ob.rec.Span(obs.PhaseRemap)
 		assign = partition.RemapOwners(e.assign, assign)
 		rsp.End()
 	}
@@ -456,7 +456,7 @@ func (e *Engine) repartition(iter int, maySkip bool) error {
 func (e *Engine) adopt(iter int, assign *partition.Assignment, chargeRegrid bool) error {
 	// Redistribution cost: cells whose owner changed move over the wire.
 	if e.assign != nil {
-		msp := e.ob.rt.Span(obs.PhaseMigrate, -1, iter)
+		msp := e.ob.rec.Span(obs.PhaseMigrate)
 		moved, retained := movedBytes(e.assign, assign, e.cfg.App.BytesPerCell(), e.clus.NumNodes())
 		e.tr.RetainedBytes += retained
 		e.ob.retainedBytes.Add(int64(retained))
@@ -475,7 +475,7 @@ func (e *Engine) adopt(iter int, assign *partition.Assignment, chargeRegrid bool
 		e.ob.movedBytes.Add(int64(movedTotal))
 		e.clus.Advance(maxT)
 		e.tr.CommTime += maxT
-		msp.EndBytes(int64(movedTotal))
+		msp.End()
 	}
 	if chargeRegrid {
 		cost := e.clus.Params().RegridCostSec
@@ -619,6 +619,7 @@ func (e *Engine) Run() (*trace.RunTrace, error) {
 	defer ckptWG.Wait()
 	for iter := 0; iter < e.cfg.Iterations; iter++ {
 		e.ob.iter.Set(float64(iter))
+		e.ob.rec.SetPos(0, iter)
 		if err := e.applyFaults(iter); err != nil {
 			return nil, err
 		}
@@ -642,7 +643,7 @@ func (e *Engine) Run() (*trace.RunTrace, error) {
 			// next regrid/Advance mutate — then write the bytes in the
 			// background. Writes are serialized (and the latest state always
 			// wins) because each waits for the previous one.
-			csp := e.ob.rt.Span(obs.PhaseCheckpoint, -1, iter)
+			csp := e.ob.rec.Span(obs.PhaseCheckpoint)
 			st, err := e.Checkpoint(iter)
 			if err != nil {
 				return nil, err
@@ -651,7 +652,7 @@ func (e *Engine) Run() (*trace.RunTrace, error) {
 			if err := checkpoint.Save(&buf, st); err != nil {
 				return nil, err
 			}
-			csp.EndBytes(int64(buf.Len()))
+			csp.End()
 			ckptWG.Wait()
 			ckptWG.Add(1)
 			go func(data []byte, iter int) {
@@ -676,7 +677,7 @@ func (e *Engine) Run() (*trace.RunTrace, error) {
 				}
 			}(buf.Bytes(), iter)
 		}
-		sp := e.ob.rt.Span(obs.PhaseCompute, -1, iter)
+		sp := e.ob.rec.Span(obs.PhaseCompute)
 		if err := e.cfg.App.Advance(e.hier, iter); err != nil {
 			return nil, err
 		}

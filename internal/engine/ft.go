@@ -13,7 +13,6 @@ import (
 	"samrpart/internal/geom"
 	"samrpart/internal/monitor"
 	"samrpart/internal/obs"
-	"samrpart/internal/obs/trace"
 	"samrpart/internal/partition"
 	"samrpart/internal/transport"
 )
@@ -237,7 +236,7 @@ func newSPMDRun(ep transport.Endpoint, cfg SPMDConfig) (*spmdRun, error) {
 		faultFired:  make([]bool, len(cfg.Faults)),
 	}
 	r.sc.om = newSPMDObs(cfg.Obs, ep.Rank())
-	r.sc.tr = cfg.Trace.Recorder(ep.Rank())
+	r.sc.rec = cfg.Obs.Recorder(ep.Rank())
 	r.sc.workers = cfg.Workers
 	for i := range r.alive {
 		r.alive[i] = true
@@ -682,11 +681,9 @@ func (r *spmdRun) setup(iter int) (int, error) {
 // setupAt is one restoration attempt at exactly iter.
 func (r *spmdRun) setupAt(iter int) error {
 	k := r.cfg.Kernel
-	psp := r.sc.om.span(obs.PhasePartition)
-	r.sc.tr.SetPos(r.epoch, iter)
-	ptr := r.sc.tr.Span(trace.PhasePartition)
+	r.sc.rec.SetPos(r.epoch, iter)
+	psp := r.sc.rec.Span(obs.PhasePartition)
 	asn, err := r.partitionEligible(iter)
-	ptr.End()
 	psp.End()
 	if err != nil {
 		return err
@@ -809,7 +806,7 @@ func (r *spmdRun) joinList() []int {
 // the identical gossiped timing vector, and the pending joins are admitted.
 func (r *spmdRun) heartbeat(iter int) (newDead, joins []int, err error) {
 	me := r.me()
-	r.sc.tr.SetPos(r.epoch, iter)
+	r.sc.rec.SetPos(r.epoch, iter)
 	r.pollAnnounces()
 	suspects := map[int]bool{}
 	ckpts := []int{r.durableCkpt()}
@@ -824,14 +821,14 @@ func (r *spmdRun) heartbeat(iter int) (newDead, joins []int, err error) {
 			if p == me || !r.alive[p] || suspects[p] {
 				continue
 			}
-			if r.sc.tr != nil {
+			if r.sc.rec.Traced() {
 				// The clock-sync extension is per-receiver (the echoed delta
 				// belongs to one pairwise link), so traced heartbeats are
 				// re-encoded per peer; the tracing-off path keeps the single
 				// shared encoding above.
 				m.HasTrace = true
-				m.DeltaNS = r.sc.tr.HBDelta(p)
-				m.SendNS = r.sc.tr.Now()
+				m.DeltaNS = r.sc.rec.HBDelta(p)
+				m.SendNS = r.sc.rec.Now()
 				payload = encodeHb(m)
 			}
 			if err := r.ep.Send(p, tag, payload); err != nil {
@@ -888,8 +885,8 @@ func (r *spmdRun) heartbeat(iter int) (newDead, joins []int, err error) {
 				if err != nil {
 					return err
 				}
-				if m.HasTrace && r.sc.tr != nil {
-					r.sc.tr.ObserveHeartbeat(p, m.SendNS, m.DeltaNS)
+				if m.HasTrace {
+					r.sc.rec.ObserveHeartbeat(p, m.SendNS, m.DeltaNS)
 				}
 				if round == 1 {
 					ckpts = append(ckpts, m.Ckpt)
@@ -945,7 +942,7 @@ func (r *spmdRun) heartbeat(iter int) (newDead, joins []int, err error) {
 				} else {
 					r.res.StragglerPromotions++
 				}
-				r.sc.tr.Verdict(trans.Rank, trans.To.String())
+				r.sc.rec.Verdict(trans.Rank, trans.To.String())
 			}
 		}
 		joins = r.joinList()
@@ -1098,9 +1095,8 @@ func (r *spmdRun) rejoin() (*welcomeMsg, error) {
 // scheduled repartitions, recoveries are handled by setup, and admissions.
 func (r *spmdRun) repartitionNow(iter int) error {
 	cfg, k := r.cfg, r.cfg.Kernel
-	psp := r.sc.om.span(obs.PhasePartition)
-	r.sc.tr.SetPos(r.epoch, iter)
-	ptr := r.sc.tr.Span(trace.PhasePartition)
+	r.sc.rec.SetPos(r.epoch, iter)
+	psp := r.sc.rec.Span(obs.PhasePartition)
 	var newView *asnView
 	var err error
 	if h, ok := cfg.Partitioner.(*partition.Hierarchical); ok && !cfg.CentralPartition && r.ep.Size() > 1 {
@@ -1116,7 +1112,6 @@ func (r *spmdRun) repartitionNow(iter int) error {
 			newView = newAsnView(r.remap(a), r.me())
 		}
 	}
-	ptr.End()
 	psp.End()
 	if err != nil {
 		return err
@@ -1183,8 +1178,7 @@ func (r *spmdRun) writeCheckpoint(iter int) error {
 	}
 	// The checkpoint span covers the synchronous cut: cloning always, the
 	// shard write too when SyncCheckpoint blocks on it.
-	ksp := r.sc.om.span(obs.PhaseCheckpoint)
-	ktr := r.sc.tr.Span(trace.PhaseCheckpoint)
+	ksp := r.sc.rec.Span(obs.PhaseCheckpoint)
 	clones := make(map[geom.Box]*amr.Patch, len(r.patches))
 	for b, p := range r.patches {
 		clones[b] = p.Clone()
@@ -1195,16 +1189,13 @@ func (r *spmdRun) writeCheckpoint(iter int) error {
 	r.res.Checkpoints++
 	if r.cfg.FT.SyncCheckpoint {
 		if err := checkpoint.SaveShard(dir, sh); err != nil {
-			ktr.End()
 			ksp.End()
 			return err
 		}
 		r.setDurable(iter)
-		ktr.End()
 		ksp.End()
 		return r.pruneShards(stable)
 	}
-	ktr.End()
 	ksp.End()
 	r.ckptWG.Add(1)
 	go func() {
@@ -1255,8 +1246,7 @@ func (r *spmdRun) durableCkpt() int {
 // and times the per-cell step cost for the straggler gossip.
 func (r *spmdRun) step(iter int) error {
 	cfg, k := r.cfg, r.cfg.Kernel
-	r.sc.om.setIter(iter)
-	r.sc.tr.SetPos(r.epoch, iter)
+	r.sc.rec.SetPos(r.epoch, iter)
 	if cfg.RepartEvery > 0 && iter > 0 && iter%cfg.RepartEvery == 0 && iter != r.lastPart {
 		if err := r.repartitionNow(iter); err != nil {
 			return err
@@ -1274,9 +1264,9 @@ func (r *spmdRun) step(iter int) error {
 			}
 		}
 		var err error
-		dtr := r.sc.tr.Span(trace.PhaseDtWait)
+		dsp := r.sc.rec.Span(obs.PhaseDtWait)
 		dt, err = r.allReduceMin(iter, local)
-		dtr.End()
+		dsp.End()
 		if err != nil {
 			return err
 		}
@@ -1285,8 +1275,7 @@ func (r *spmdRun) step(iter int) error {
 		}
 	}
 	var cells int64
-	csp := r.sc.om.span(obs.PhaseCompute)
-	ctr := r.sc.tr.Span(trace.PhaseCompute)
+	csp := r.sc.rec.Span(obs.PhaseCompute)
 	t0 := time.Now()
 	for _, b := range r.plan.interior {
 		stepPatch(k, cfg.BaseGrid, r.patches, r.spares, b, dt)
@@ -1294,13 +1283,11 @@ func (r *spmdRun) step(iter int) error {
 		cells += b.Cells()
 	}
 	computeDur := time.Since(t0)
-	ctr.End()
 	csp.End()
 	if err := r.plan.finishRecvs(r.ep, r.patches, r.res); err != nil {
 		return err
 	}
-	bsp := r.sc.om.span(obs.PhaseCompute)
-	btr := r.sc.tr.Span(trace.PhaseAdvance)
+	bsp := r.sc.rec.Span(obs.PhaseAdvance)
 	t1 := time.Now()
 	for _, b := range r.plan.boundary {
 		stepPatch(k, cfg.BaseGrid, r.patches, r.spares, b, dt)
@@ -1308,7 +1295,6 @@ func (r *spmdRun) step(iter int) error {
 		cells += b.Cells()
 	}
 	computeDur += time.Since(t1)
-	btr.End()
 	bsp.End()
 	// Injected gray failure: dilate this iteration's compute proportionally
 	// to the measured work, so the rank's per-cell time reads Factor× its
@@ -1372,7 +1358,8 @@ func (r *spmdRun) canaryProbe(dt, factor float64) {
 // allReduceMin agrees on the global minimum of a float64 across the alive
 // ranks, with epoch-namespaced tags and deadline-bounded receives. Float min
 // is order-independent, so the result is bit-identical on every rank
-// regardless of arrival order.
+// regardless of arrival order. A peer value that is not exactly one
+// non-NaN float wraps transport.ErrMalformed.
 func (r *spmdRun) allReduceMin(iter int, local float64) (float64, error) {
 	me := r.me()
 	tag := fmt.Sprintf("%sdt-%d", r.prefix(), iter)
@@ -1400,7 +1387,13 @@ func (r *spmdRun) allReduceMin(iter int, local float64) (float64, error) {
 			return 0, err
 		}
 		if len(vals) != 1 {
-			return 0, fmt.Errorf("engine: dt reduce got %d values", len(vals))
+			return 0, fmt.Errorf("%w: dt reduce got %d values from rank %d", transport.ErrMalformed, len(vals), p)
+		}
+		// NaN would lose every comparison, leaving its sender stepping on
+		// NaN while the peers step on the minimum. +Inf is legal: a rank
+		// with no patches sends it.
+		if math.IsNaN(vals[0]) {
+			return 0, fmt.Errorf("%w: dt reduce got NaN from rank %d", transport.ErrMalformed, p)
 		}
 		if vals[0] < minVal {
 			minVal = vals[0]

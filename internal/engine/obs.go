@@ -13,6 +13,7 @@ import (
 // observability is off.
 type engineObs struct {
 	rt                  *obs.Runtime
+	rec                 *obs.Recorder // phase spans, as rank -1
 	iter                *obs.Gauge
 	imbalance           *obs.Gauge
 	repartitions        *obs.Counter
@@ -49,6 +50,7 @@ func newEngineObs(rt *obs.Runtime, nodes int) engineObs {
 	reg := rt.Registry()
 	ob := engineObs{
 		rt:        rt,
+		rec:       rt.Recorder(-1),
 		iter:      reg.Gauge("samr_engine_iter", "Current coarse iteration."),
 		imbalance: reg.Gauge("samr_engine_imbalance_pct", "Max imbalance of the adopted assignment (percent)."),
 		repartitions: reg.Counter("samr_engine_repartitions_total",

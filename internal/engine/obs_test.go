@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -15,90 +16,114 @@ import (
 // TestSPMDBitIdenticalWithObs proves the zero-value-off guarantee's flip
 // side: turning observability ON changes nothing either. The same SPMD run
 // with and without a live obs.Runtime must agree bit for bit on the
-// solution and on every counter.
+// solution and on every counter, with fault tolerance off and on
+// (heartbeats and checkpoints): a runtime without a span log must not
+// stamp heartbeats or frames. A third, traced run must agree on everything
+// but BytesSent (tracing extends frames) and supplies the span records.
 func TestSPMDBitIdenticalWithObs(t *testing.T) {
 	const iters = 12
-	run := func(rt *obs.Runtime) []*SPMDResult {
-		eps, err := transport.NewGroup(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := spmdConfig(iters)
-		cfg.CapsAt = capsSwitcher(3)
-		cfg.Obs = rt
-		return runSPMD(t, eps, cfg)
-	}
-	var events strings.Builder
-	rt := obs.New(obs.Config{Seed: 99, Events: &events})
-	off := run(nil)
-	on := run(rt)
-	if err := rt.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		ft   bool
+	}{{"ft-off", false}, {"ft-on", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(rt *obs.Runtime) []*SPMDResult {
+				eps, err := transport.NewGroup(3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := spmdConfig(iters)
+				if tc.ft {
+					cfg = ftConfig(t, iters, t.TempDir())
+				}
+				cfg.CapsAt = capsSwitcher(3)
+				cfg.Obs = rt
+				return runSPMD(t, eps, cfg)
+			}
+			rt := obs.New(obs.Config{Seed: 99})
+			var log bytes.Buffer
+			tracedRT := obs.New(obs.Config{Seed: 99, Trace: &log})
+			off := run(nil)
+			on := run(rt)
+			traced := run(tracedRT)
+			if err := tracedRT.Flush(); err != nil {
+				t.Fatal(err)
+			}
 
-	for r := range off {
-		a, b := off[r], on[r]
-		if a.L1Sum != b.L1Sum {
-			t.Errorf("rank %d: L1 %.17g (off) != %.17g (on)", r, a.L1Sum, b.L1Sum)
-		}
-		if a.BytesSent != b.BytesSent || a.MsgsSent != b.MsgsSent || a.MsgsRecvd != b.MsgsRecvd {
-			t.Errorf("rank %d: transport counters differ: off=%+v on=%+v", r, a, b)
-		}
-		if a.MigratedBytes != b.MigratedBytes || a.RetainedBytes != b.RetainedBytes {
-			t.Errorf("rank %d: migration counters differ", r)
-		}
-		if a.InteriorSteps != b.InteriorSteps || a.BoundarySteps != b.BoundarySteps {
-			t.Errorf("rank %d: step counters differ", r)
-		}
-	}
+			for r := range off {
+				a := off[r]
+				for _, v := range []struct {
+					name      string
+					b         *SPMDResult
+					bytesSent bool
+				}{{"on", on[r], true}, {"traced", traced[r], false}} {
+					b := v.b
+					if a.L1Sum != b.L1Sum {
+						t.Errorf("rank %d: L1 %.17g (off) != %.17g (%s)", r, a.L1Sum, b.L1Sum, v.name)
+					}
+					if (v.bytesSent && a.BytesSent != b.BytesSent) || a.MsgsSent != b.MsgsSent || a.MsgsRecvd != b.MsgsRecvd {
+						t.Errorf("rank %d: transport counters differ: off=%+v %s=%+v", r, a, v.name, b)
+					}
+					if a.MigratedBytes != b.MigratedBytes || a.RetainedBytes != b.RetainedBytes {
+						t.Errorf("rank %d: migration counters differ (%s)", r, v.name)
+					}
+					if a.InteriorSteps != b.InteriorSteps || a.BoundarySteps != b.BoundarySteps {
+						t.Errorf("rank %d: step counters differ (%s)", r, v.name)
+					}
+				}
+			}
 
-	// The instrumented run must have mirrored its counters into the registry
-	// and logged spans for every rank.
-	var exp strings.Builder
-	if err := rt.Registry().WritePrometheus(&exp); err != nil {
-		t.Fatal(err)
-	}
-	wantSent := int64(0)
-	for _, r := range on {
-		wantSent += r.BytesSent
-	}
-	gotSent := int64(0)
-	for rank := 0; rank < 3; rank++ {
-		gotSent += rt.Registry().Counter("samr_spmd_bytes_sent_total", "",
-			obs.Label{Key: "rank", Value: string(rune('0' + rank))}).Value()
-	}
-	if gotSent != wantSent {
-		t.Errorf("registry bytes sent %d, results say %d", gotSent, wantSent)
-	}
-	for _, want := range []string{
-		`samr_spmd_msgs_sent_total{rank="0"}`,
-		`samr_spmd_peer_bytes_total{peer=`,
-		`samr_phase_seconds_bucket{phase="compute",le=`,
-	} {
-		if !strings.Contains(exp.String(), want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
+			// The instrumented run must have mirrored its counters into the
+			// registry, and the traced run logged spans for every rank.
+			var exp strings.Builder
+			if err := rt.Registry().WritePrometheus(&exp); err != nil {
+				t.Fatal(err)
+			}
+			wantSent := int64(0)
+			for _, r := range on {
+				wantSent += r.BytesSent
+			}
+			gotSent := int64(0)
+			for rank := 0; rank < 3; rank++ {
+				gotSent += rt.Registry().Counter("samr_spmd_bytes_sent_total", "",
+					obs.Label{Key: "rank", Value: string(rune('0' + rank))}).Value()
+			}
+			if gotSent != wantSent {
+				t.Errorf("registry bytes sent %d, results say %d", gotSent, wantSent)
+			}
+			for _, want := range []string{
+				`samr_spmd_msgs_sent_total{rank="0"}`,
+				`samr_spmd_peer_bytes_total{peer=`,
+				`samr_phase_seconds_bucket{phase="compute",le=`,
+			} {
+				if !strings.Contains(exp.String(), want) {
+					t.Errorf("exposition missing %q", want)
+				}
+			}
 
-	evs, err := obs.ReadEvents(strings.NewReader(events.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	phases := map[string]bool{}
-	ranks := map[int]bool{}
-	for _, ev := range evs {
-		phases[ev.Phase] = true
-		ranks[ev.Rank] = true
-	}
-	for _, p := range []string{"compute", "halo-wait", "partition", "migrate"} {
-		if !phases[p] {
-			t.Errorf("event log has no %q spans", p)
-		}
-	}
-	for rank := 0; rank < 3; rank++ {
-		if !ranks[rank] {
-			t.Errorf("event log has no spans from rank %d", rank)
-		}
+			recs, skipped, err := obs.ReadRecords(&log)
+			if err != nil || skipped != 0 {
+				t.Fatalf("read: err=%v skipped=%d", err, skipped)
+			}
+			phases := map[string]bool{}
+			ranks := map[int]bool{}
+			for _, rec := range recs {
+				if rec.K == "s" {
+					phases[rec.Ph] = true
+					ranks[rec.R] = true
+				}
+			}
+			for _, p := range []string{"compute", "halo-wait", "partition", "migrate"} {
+				if !phases[p] {
+					t.Errorf("span log has no %q spans", p)
+				}
+			}
+			for rank := 0; rank < 3; rank++ {
+				if !ranks[rank] {
+					t.Errorf("span log has no spans from rank %d", rank)
+				}
+			}
+		})
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"samrpart/internal/geom"
 	"samrpart/internal/monitor"
 	"samrpart/internal/obs"
-	"samrpart/internal/obs/trace"
 	"samrpart/internal/parallel"
 	"samrpart/internal/partition"
 	"samrpart/internal/solver"
@@ -98,16 +97,14 @@ type SPMDConfig struct {
 	// repartition. Requires FT.Enabled to have any effect.
 	Straggler monitor.StragglerPolicy
 	// Obs, when set, receives per-rank phase spans and transport counters.
-	// Nil disables observability; the run is then bit-identical to an
-	// uninstrumented one.
+	// When the runtime also has a span log, each rank records the
+	// distributed trace: spans tagged (rank, epoch, iter, phase),
+	// message-level send/recv records with a trace context piggybacked on
+	// coalesced frames and heartbeats, and pairwise clock-offset estimates
+	// from heartbeat RTTs. Nil disables observability. The simulation output
+	// is bit-identical either way: the context only extends wire headers,
+	// never the applied payload, and without a log the wire is unchanged.
 	Obs *obs.Runtime
-	// Trace, when set, records the distributed trace: per-rank spans tagged
-	// (rank, epoch, iter, phase), message-level send/recv records with a
-	// trace context piggybacked on coalesced frames and heartbeats, and
-	// pairwise clock-offset estimates from heartbeat RTTs. Nil disables
-	// tracing; the simulation output is bit-identical either way (the
-	// context only extends wire headers, never the applied payload).
-	Trace *trace.Log
 }
 
 // SPMDResult reports one rank's outcome.
@@ -519,40 +516,38 @@ type commScratch struct {
 	offsets   []int
 	applyErrs []error
 
-	// om is the rank's observability handle set (nil when off). It lives on
-	// the scratch because the scratch already threads through every
-	// communication path.
-	om *spmdObs
-
-	// tr is the rank's distributed-trace recorder (nil when tracing is off);
-	// like om it rides the scratch so postSends/finishRecvs/redistribute see
-	// it. tcbuf is the pooled wire context the frame
-	// packers point AppendFrameCtx at, keeping the traced send path
-	// allocation-free.
-	tr    *trace.Recorder
+	// om is the rank's metric handle set and rec its span recorder (both
+	// nil when observability is off). They live on the scratch because the
+	// scratch already threads through every communication path. tcbuf is
+	// the pooled wire context the frame packers point AppendFrameCtx at,
+	// keeping the traced send path allocation-free.
+	om    *spmdObs
+	rec   *obs.Recorder
 	tcbuf transport.TraceCtx
 }
 
 // frameCtx returns the wire trace context for the rank's current (epoch,
 // iter) — SendNS is stamped later, at the actual send instant, via
-// transport.StampTraceCtx — or nil when tracing is off. Not safe for
-// concurrent calls; parallel packers call it once and share the result.
+// transport.StampTraceCtx — or nil when the rank writes no span log. Not
+// safe for concurrent calls; parallel packers call it once and share the
+// result.
 func (sc *commScratch) frameCtx() *transport.TraceCtx {
-	if sc.tr == nil {
+	if !sc.rec.Traced() {
 		return nil
 	}
-	e, i := sc.tr.Pos()
+	e, i := sc.rec.Pos()
 	sc.tcbuf = transport.TraceCtx{Iter: i, Epoch: e}
 	return &sc.tcbuf
 }
 
 // traceStamp patches the frame's SendNS to now and returns the stamp (0 when
-// tracing is off). Must run before ep.Send: transports may copy the buffer.
+// the rank writes no span log). Must run before ep.Send: transports may copy
+// the buffer.
 func (sc *commScratch) traceStamp(frame []byte) int64 {
-	if sc.tr == nil {
+	if !sc.rec.Traced() {
 		return 0
 	}
-	ns := sc.tr.Now()
+	ns := sc.rec.Now()
 	transport.StampTraceCtx(frame, ns)
 	return ns
 }
@@ -817,9 +812,9 @@ func (pl *ghostPlan) finish(prefix string) {
 
 // ghostPlanAt builds rank me's halo-exchange plan through the configured
 // path — the distributed per-rank builder by default, the centralized
-// global-pass oracle under CentralPlans — timed as a plan-build span.
+// global-pass oracle under CentralPlans — timed as a plan span.
 func (c SPMDConfig) ghostPlanAt(v *asnView, me, size, ghost int, prefix string, sc *commScratch) *ghostPlan {
-	sp := sc.om.span(obs.PhasePlan)
+	sp := sc.rec.Span(obs.PhasePlan)
 	defer sp.End()
 	if c.CentralPlans {
 		pl := centralGhostPlans(v.Assignment, size, ghost, prefix)[me]
@@ -878,7 +873,7 @@ func (pl *ghostPlan) postSends(ep transport.Endpoint, patches map[geom.Box]*amr.
 		tc := sc.frameCtx()
 		parallel.For(w, len(spans), func(si int) {
 			span := spans[si]
-			ptr := sc.tr.Span(trace.PhasePack)
+			ksp := sc.rec.Span(obs.PhasePack)
 			fl, rg := sc.spanFloats[si][:0], sc.spanRegions[si][:0]
 			for _, s := range pl.sends[span.lo:span.hi] {
 				n0 := len(fl)
@@ -887,7 +882,7 @@ func (pl *ghostPlan) postSends(ep transport.Endpoint, patches map[geom.Box]*amr.
 			}
 			sc.spanBytes[si] = transport.AppendFrameCtx(sc.spanBytes[si][:0], rg, fl, tc)
 			sc.spanFloats[si], sc.spanRegions[si] = fl, rg
-			ptr.End()
+			ksp.End()
 		})
 		for si, span := range spans {
 			b := sc.spanBytes[si]
@@ -898,11 +893,11 @@ func (pl *ghostPlan) postSends(ep transport.Endpoint, patches map[geom.Box]*amr.
 			res.BytesSent += int64(len(b))
 			res.MsgsSent++
 			sc.om.peerSent(span.rank, len(b))
-			sc.tr.Send(span.rank, trace.KindHalo, len(b), ns)
+			sc.rec.Send(span.rank, obs.KindHalo, len(b), ns)
 		}
 	} else {
 		for _, span := range pl.sendPeers {
-			ptr := sc.tr.Span(trace.PhasePack)
+			ksp := sc.rec.Span(obs.PhasePack)
 			sc.floats = sc.floats[:0]
 			sc.regions = sc.regions[:0]
 			for _, s := range pl.sends[span.lo:span.hi] {
@@ -911,7 +906,7 @@ func (pl *ghostPlan) postSends(ep transport.Endpoint, patches map[geom.Box]*amr.
 				sc.regions = append(sc.regions, frameRegion(s.dstIdx, s.srcIdx, s.region, len(sc.floats)-n0))
 			}
 			sc.bytes = transport.AppendFrameCtx(sc.bytes[:0], sc.regions, sc.floats, sc.frameCtx())
-			ptr.End()
+			ksp.End()
 			ns := sc.traceStamp(sc.bytes)
 			if err := ep.Send(span.rank, span.tag, sc.bytes); err != nil {
 				return err
@@ -919,7 +914,7 @@ func (pl *ghostPlan) postSends(ep transport.Endpoint, patches map[geom.Box]*amr.
 			res.BytesSent += int64(len(sc.bytes))
 			res.MsgsSent++
 			sc.om.peerSent(span.rank, len(sc.bytes))
-			sc.tr.Send(span.rank, trace.KindHalo, len(sc.bytes), ns)
+			sc.rec.Send(span.rank, obs.KindHalo, len(sc.bytes), ns)
 		}
 	}
 	for _, pair := range pl.locals {
@@ -934,33 +929,27 @@ func (pl *ghostPlan) postSends(ep transport.Endpoint, patches map[geom.Box]*amr.
 // validated region by region against the plan.
 func (pl *ghostPlan) finishRecvs(ep transport.Endpoint, patches map[geom.Box]*amr.Patch, res *SPMDResult) error {
 	sc := pl.sc
-	var haloBytes int64
-	wsp := sc.om.span(obs.PhaseHaloWait)
-	defer func() { wsp.EndBytes(haloBytes) }()
 	for _, span := range pl.recvPeers {
-		wtr := sc.tr.WaitSpan(trace.PhaseHaloWait, span.rank)
+		wsp := sc.rec.WaitSpan(obs.PhaseHaloWait, span.rank)
 		payload, err := ep.Recv(span.rank, span.tag)
 		if err != nil {
 			return err
 		}
 		res.MsgsRecvd++
-		haloBytes += int64(len(payload))
 		var tc transport.TraceCtx
 		var traced bool
 		sc.rregions, sc.rfloats, tc, traced, err = transport.DecodeFrameCtx(payload, sc.rregions, sc.rfloats)
 		if err != nil {
 			return err
 		}
-		if sc.tr != nil {
-			if traced {
-				sc.tr.Recv(span.rank, trace.KindHalo, len(payload), tc.Epoch, tc.Iter, tc.SendNS)
-				wtr.EndGated(tc.SendNS)
-			} else {
-				sc.tr.RecvUntraced(span.rank, trace.KindHalo, len(payload))
-				wtr.End()
-			}
+		if traced {
+			sc.rec.Recv(span.rank, obs.KindHalo, len(payload), tc.Epoch, tc.Iter, tc.SendNS)
+			wsp.EndGated(tc.SendNS)
+		} else {
+			sc.rec.RecvUntraced(span.rank, obs.KindHalo, len(payload))
+			wsp.End()
 		}
-		utr := sc.tr.Span(trace.PhaseUnpack)
+		usp := sc.rec.Span(obs.PhaseUnpack)
 		if len(sc.rregions) != span.hi-span.lo {
 			return fmt.Errorf("engine: rank %d sent %d halo regions, plan expects %d",
 				span.rank, len(sc.rregions), span.hi-span.lo)
@@ -998,7 +987,7 @@ func (pl *ghostPlan) finishRecvs(ep transport.Endpoint, patches map[geom.Box]*am
 					return err
 				}
 			}
-			utr.End()
+			usp.End()
 			continue
 		}
 		off := 0
@@ -1013,7 +1002,7 @@ func (pl *ghostPlan) finishRecvs(ep transport.Endpoint, patches map[geom.Box]*am
 			}
 			off += n
 		}
-		utr.End()
+		usp.End()
 	}
 	return nil
 }
@@ -1170,20 +1159,15 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 		sc = &commScratch{}
 	}
 	me := ep.Rank()
-	psp := sc.om.span(obs.PhasePlan)
-	ptr := sc.tr.Span(trace.PhasePlan)
+	psp := sc.rec.Span(obs.PhasePlan)
 	var mp migPlan
 	if central {
 		mp = centralMigPlans(old.Assignment, next.Assignment, ep.Size())[me]
 	} else {
 		mp = buildMigPlan(old, next, me, sc)
 	}
-	ptr.End()
 	psp.End()
-	msp := sc.om.span(obs.PhaseMigrate)
-	mig0 := res.MigratedBytes
-	defer func() { msp.EndBytes(res.MigratedBytes - mig0) }()
-	mtr := sc.tr.Span(trace.PhaseMigrate)
+	msp := sc.rec.Span(obs.PhaseMigrate)
 	out := make(map[geom.Box]*amr.Patch, len(patches))
 	bytesPerCell := int64(k.NumFields()) * 8
 	for _, m := range mp.retained {
@@ -1209,7 +1193,7 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 			out[m.dst] = amr.NewPatch(m.dst, k.Ghost(), k.NumFields())
 		}
 	}
-	mtr.End()
+	msp.End()
 	sends, recvs := mp.sends, mp.recvs
 	tag := fmt.Sprintf("%srx%d", prefix, iter)
 	for lo := 0; lo < len(sends); {
@@ -1217,7 +1201,7 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 		for hi < len(sends) && sends[hi].peer == sends[lo].peer {
 			hi++
 		}
-		ktr := sc.tr.Span(trace.PhasePack)
+		ksp := sc.rec.Span(obs.PhasePack)
 		sc.floats = sc.floats[:0]
 		sc.regions = sc.regions[:0]
 		for _, m := range sends[lo:hi] {
@@ -1227,7 +1211,7 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 			res.MigratedBytes += m.region.Cells() * bytesPerCell
 		}
 		sc.bytes = transport.AppendFrameCtx(sc.bytes[:0], sc.regions, sc.floats, sc.frameCtx())
-		ktr.End()
+		ksp.End()
 		ns := sc.traceStamp(sc.bytes)
 		if err := ep.Send(sends[lo].peer, tag, sc.bytes); err != nil {
 			return nil, err
@@ -1235,7 +1219,7 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 		res.BytesSent += int64(len(sc.bytes))
 		res.MsgsSent++
 		sc.om.peerSent(sends[lo].peer, len(sc.bytes))
-		sc.tr.Send(sends[lo].peer, trace.KindMig, len(sc.bytes), ns)
+		sc.rec.Send(sends[lo].peer, obs.KindMig, len(sc.bytes), ns)
 		lo = hi
 	}
 	for lo := 0; lo < len(recvs); {
@@ -1243,7 +1227,7 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 		for hi < len(recvs) && recvs[hi].peer == recvs[lo].peer {
 			hi++
 		}
-		wtr := sc.tr.WaitSpan(trace.PhaseMigWait, recvs[lo].peer)
+		wsp := sc.rec.WaitSpan(obs.PhaseMigWait, recvs[lo].peer)
 		payload, err := ep.Recv(recvs[lo].peer, tag)
 		if err != nil {
 			return nil, err
@@ -1255,20 +1239,18 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 		if err != nil {
 			return nil, err
 		}
-		if sc.tr != nil {
-			if traced {
-				sc.tr.Recv(recvs[lo].peer, trace.KindMig, len(payload), tc.Epoch, tc.Iter, tc.SendNS)
-				wtr.EndGated(tc.SendNS)
-			} else {
-				sc.tr.RecvUntraced(recvs[lo].peer, trace.KindMig, len(payload))
-				wtr.End()
-			}
+		if traced {
+			sc.rec.Recv(recvs[lo].peer, obs.KindMig, len(payload), tc.Epoch, tc.Iter, tc.SendNS)
+			wsp.EndGated(tc.SendNS)
+		} else {
+			sc.rec.RecvUntraced(recvs[lo].peer, obs.KindMig, len(payload))
+			wsp.End()
 		}
 		if len(sc.rregions) != hi-lo {
 			return nil, fmt.Errorf("engine: rank %d sent %d migration regions, plan expects %d",
 				recvs[lo].peer, len(sc.rregions), hi-lo)
 		}
-		utr := sc.tr.Span(trace.PhaseUnpack)
+		usp := sc.rec.Span(obs.PhaseUnpack)
 		off := 0
 		for i, m := range recvs[lo:hi] {
 			fr := sc.rregions[i]
@@ -1281,7 +1263,7 @@ func redistribute(ep transport.Endpoint, old, next *asnView, patches map[geom.Bo
 			}
 			off += n
 		}
-		utr.End()
+		usp.End()
 		lo = hi
 	}
 	return out, nil

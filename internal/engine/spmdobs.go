@@ -10,12 +10,10 @@ import (
 // the rank's commScratch so the shared communication paths (postSends,
 // finishRecvs, redistribute) see it without signature changes. The nil *spmdObs
 // disables everything: every method no-ops, and the run is bit-identical
-// to an uninstrumented one.
+// to an uninstrumented one. Phase spans go through the rank's obs.Recorder.
 type spmdObs struct {
-	rt   *obs.Runtime
 	reg  *obs.Registry
 	rank int
-	iter int // current iteration, set each step for span attribution
 
 	bytesSent     *obs.Counter
 	msgsSent      *obs.Counter
@@ -50,7 +48,6 @@ func newSPMDObs(rt *obs.Runtime, rank int) *spmdObs {
 	reg := rt.Registry()
 	rl := obs.Label{Key: "rank", Value: strconv.Itoa(rank)}
 	return &spmdObs{
-		rt:   rt,
 		reg:  reg,
 		rank: rank,
 		bytesSent: reg.Counter("samr_spmd_bytes_sent_total",
@@ -78,23 +75,6 @@ func newSPMDObs(rt *obs.Runtime, rank int) *spmdObs {
 		peerBytes: map[int]*obs.Counter{},
 		peerMsgs:  map[int]*obs.Counter{},
 	}
-}
-
-// setIter records the current iteration for span attribution.
-func (om *spmdObs) setIter(iter int) {
-	if om == nil {
-		return
-	}
-	om.iter = iter
-}
-
-// span starts a phase span on this rank at the current iteration (zero
-// span when off).
-func (om *spmdObs) span(p obs.Phase) obs.Span {
-	if om == nil {
-		return obs.Span{}
-	}
-	return om.rt.Span(p, om.rank, om.iter)
 }
 
 // peerSent charges one outgoing message to the per-peer counters.

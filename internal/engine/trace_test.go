@@ -7,21 +7,21 @@ import (
 	"time"
 
 	"samrpart/internal/monitor"
-	"samrpart/internal/obs/trace"
+	"samrpart/internal/obs"
 	"samrpart/internal/transport"
 )
 
 // runTraced runs a 4-rank SPMD program with a shared trace log attached and
 // returns the results plus the parsed records.
-func runTraced(t *testing.T, eps []transport.Endpoint, cfg SPMDConfig) ([]*SPMDResult, []trace.Record) {
+func runTraced(t *testing.T, eps []transport.Endpoint, cfg SPMDConfig) ([]*SPMDResult, []obs.Record) {
 	t.Helper()
 	var buf bytes.Buffer
-	cfg.Trace = trace.NewLog(&buf)
+	cfg.Obs = obs.New(obs.Config{Seed: 1, Trace: &buf})
 	results := runSPMD(t, eps, cfg)
-	if err := cfg.Trace.Flush(); err != nil {
+	if err := cfg.Obs.Flush(); err != nil {
 		t.Fatalf("trace flush: %v", err)
 	}
-	recs, skipped, err := trace.ReadRecords(&buf)
+	recs, skipped, err := obs.ReadRecords(&buf)
 	if err != nil || skipped != 0 {
 		t.Fatalf("trace read: err=%v skipped=%d", err, skipped)
 	}
@@ -31,7 +31,7 @@ func runTraced(t *testing.T, eps []transport.Endpoint, cfg SPMDConfig) ([]*SPMDR
 // requireCoverage asserts the stitched critical path attributes at least 95%
 // of every iteration's wall-clock (the acceptance bar; the walk actually
 // guarantees 100% by construction).
-func requireCoverage(t *testing.T, tl *trace.Timeline) {
+func requireCoverage(t *testing.T, tl *obs.Timeline) {
 	t.Helper()
 	if len(tl.Iters) == 0 {
 		t.Fatal("stitcher produced no iteration windows")
@@ -57,7 +57,7 @@ func requireCoverage(t *testing.T, tl *trace.Timeline) {
 // with tracing off and with tracing on must produce cell-bitwise identical
 // solutions over the channel transport — tracing observes the computation,
 // it never perturbs it. The traced run doubles as the -race hammer: four
-// rank goroutines record spans into one shared Log during live halo
+// rank goroutines record spans into one shared span log during live halo
 // exchange.
 func TestSPMDBitIdenticalWithTrace(t *testing.T) {
 	const iters = 16
@@ -96,18 +96,18 @@ func TestSPMDBitIdenticalWithTrace(t *testing.T) {
 	if kinds["m"] == 0 || kinds["v"] == 0 {
 		t.Errorf("no message records: %v", kinds)
 	}
-	for _, ph := range []string{trace.PhaseCompute, trace.PhasePack, trace.PhaseHaloWait,
-		trace.PhaseUnpack, trace.PhaseAdvance, trace.PhasePartition, trace.PhaseMigrate} {
-		if !phases[ph] {
+	for _, ph := range []obs.Phase{obs.PhaseCompute, obs.PhasePack, obs.PhaseHaloWait,
+		obs.PhaseUnpack, obs.PhaseAdvance, obs.PhasePartition, obs.PhaseMigrate} {
+		if !phases[ph.String()] {
 			t.Errorf("phase %q never recorded", ph)
 		}
 	}
-	tl := trace.Stitch(recs, 0)
+	tl := obs.Stitch(recs, 0)
 	requireCoverage(t, tl)
 
 	// And the Chrome export renders it without error.
 	var chrome bytes.Buffer
-	if err := trace.WriteChrome(&chrome, recs, tl); err != nil {
+	if err := obs.WriteChrome(&chrome, recs, tl); err != nil {
 		t.Fatalf("chrome export: %v", err)
 	}
 	if !strings.Contains(chrome.String(), `"ph":"X"`) {
@@ -143,7 +143,7 @@ func TestSPMDBitIdenticalWithTraceTCP(t *testing.T) {
 	results, recs := runTraced(t, eps, cfg)
 	got := composeField(t, results, cfg.Domain)
 	requireSameField(t, got, want, "traced TCP vs untraced chan")
-	requireCoverage(t, trace.Stitch(recs, 0))
+	requireCoverage(t, obs.Stitch(recs, 0))
 }
 
 // TestSPMDFTTraceChurn is the composed fault-tolerance oracle with tracing
@@ -190,7 +190,7 @@ func TestSPMDFTTraceChurn(t *testing.T) {
 	got := composeField(t, results, cfg.Domain)
 	requireSameField(t, got, want, "traced FT churn vs untraced")
 
-	tl := trace.Stitch(recs, 0)
+	tl := obs.Stitch(recs, 0)
 	requireCoverage(t, tl)
 
 	// Heartbeat piggybacks must have produced pairwise offset estimates.

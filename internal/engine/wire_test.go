@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -73,6 +74,47 @@ func TestRejoinWelcomeMalformed(t *testing.T) {
 		}
 		if _, err := r.rejoin(); !errors.Is(err, transport.ErrMalformed) {
 			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
+		}
+	}
+}
+
+// TestAllReduceMinMalformed sends rank 0 every dt payload a peer could
+// corrupt. A payload that is not exactly one float, or is NaN, must come back
+// as ErrMalformed; +Inf (a rank with no patches) is a legal value that loses
+// to any finite local dt.
+func TestAllReduceMinMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    float64 // meaningful when !bad
+		bad     bool
+	}{
+		{"smaller peer value", transport.EncodeFloats([]float64{0.25}), 0.25, false},
+		{"peer sends +Inf", transport.EncodeFloats([]float64{math.Inf(1)}), 0.5, false},
+		{"empty payload", nil, 0, true},
+		{"two values", transport.EncodeFloats([]float64{0.1, 0.2}), 0, true},
+		{"ragged length", []byte{1, 2, 3}, 0, true},
+		{"NaN", transport.EncodeFloats([]float64{math.NaN()}), 0, true},
+	} {
+		eps, err := transport.NewGroup(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := spmdConfig(4)
+		cfg.CapsAt = capsSwitcher(2)
+		r, err := newSPMDRun(eps[0], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eps[1].Send(0, r.prefix()+"dt-3", tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.allReduceMin(3, 0.5)
+		switch {
+		case tc.bad && !errors.Is(err, transport.ErrMalformed):
+			t.Errorf("%s: err = %v, want ErrMalformed", tc.name, err)
+		case !tc.bad && (err != nil || got != tc.want):
+			t.Errorf("%s: got %v, %v; want %v", tc.name, got, err, tc.want)
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 	"samrpart/internal/engine"
 	"samrpart/internal/geom"
-	otrace "samrpart/internal/obs/trace"
+	"samrpart/internal/obs"
 	"samrpart/internal/partition"
 	"samrpart/internal/solver"
 	"samrpart/internal/trace"
@@ -105,16 +105,17 @@ func TraceOverhead(iters int) (*TraceOverheadResult, error) {
 			},
 			Iterations:  iters,
 			RepartEvery: 4,
-			Obs:         obsRT,
 		}
 
-		runOnce := func(tl *otrace.Log) ([]*engine.SPMDResult, time.Duration, error) {
+		// The study keeps its own runtimes: observability off against a
+		// runtime writing a span log, whatever SetObs installed.
+		runOnce := func(rt *obs.Runtime) ([]*engine.SPMDResult, time.Duration, error) {
 			eps, err := transport.NewGroup(ranks)
 			if err != nil {
 				return nil, 0, err
 			}
 			cfg := cfg
-			cfg.Trace = tl
+			cfg.Obs = rt
 			results := make([]*engine.SPMDResult, ranks)
 			errs := make([]error, ranks)
 			start := time.Now()
@@ -142,12 +143,12 @@ func TraceOverhead(iters int) (*TraceOverheadResult, error) {
 			return nil, fmt.Errorf("exp: trace overhead %s untraced: %w", app.name, err)
 		}
 		cw := &countingWriter{}
-		tl := otrace.NewLog(cw)
-		traced, tracedWall, err := runOnce(tl)
+		rt := obs.New(obs.Config{Seed: 1, Trace: cw})
+		traced, tracedWall, err := runOnce(rt)
 		if err != nil {
 			return nil, fmt.Errorf("exp: trace overhead %s traced: %w", app.name, err)
 		}
-		if err := tl.Flush(); err != nil {
+		if err := rt.Flush(); err != nil {
 			return nil, err
 		}
 

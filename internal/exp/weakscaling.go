@@ -135,7 +135,9 @@ func WeakScaling(maxRanks, groupSize int) (*WeakScalingResult, error) {
 			return nil, err
 		}
 		samples := []int{0, ranks / 2, ranks - 1}
-		sp := obsRT.Span(obs.PhasePlan, -1, ranks)
+		rec := obsRT.Recorder(-1)
+		rec.SetPos(0, ranks)
+		sp := rec.Span(obs.PhasePlan)
 		rep, err := engine.RepartitionPlanCost(old, next, ranks, samples, 1)
 		sp.End()
 		if err != nil {
@@ -154,7 +156,6 @@ func WeakScaling(maxRanks, groupSize int) (*WeakScalingResult, error) {
 		if rep.PerRankSec > 0 {
 			row.Speedup = rep.CentralSec / rep.PerRankSec
 		}
-		obsRT.Event("weak_scaling_plan_speedup", -1, ranks, row.Speedup)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
@@ -260,7 +261,6 @@ func WeakScalingStage2(maxRanks, groupSize int) (*Stage2Result, error) {
 		if row.GroupLocalUS > 0 {
 			row.Speedup = row.ReplicatedUS / row.GroupLocalUS
 		}
-		obsRT.Event("weak_scaling_stage2_speedup", -1, ranks, row.Speedup)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

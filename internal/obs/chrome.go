@@ -1,4 +1,4 @@
-package trace
+package obs
 
 import (
 	"bufio"
@@ -13,6 +13,7 @@ import (
 // timeline, and matched send/recv pairs become flow arrows from the sending
 // slice to the receiving one. Timestamps are µs relative to the earliest
 // aligned span start, so traces open centered regardless of wall-clock.
+// Like Stitch it renders only SPMD ranks (rank >= 0).
 func WriteChrome(w io.Writer, recs []Record, tl *Timeline) error {
 	bw := bufio.NewWriter(w)
 
@@ -21,7 +22,7 @@ func WriteChrome(w io.Writer, recs []Record, tl *Timeline) error {
 	first := true
 	alignedT := func(rank int, ns int64) int64 { return ns - tl.Offsets[rank] }
 	for _, r := range recs {
-		if r.K == "s" {
+		if r.K == "s" && r.R >= 0 {
 			if at := alignedT(r.R, r.T0); first || at < t0 {
 				t0, first = at, false
 			}
@@ -50,7 +51,7 @@ func WriteChrome(w io.Writer, recs []Record, tl *Timeline) error {
 
 	// Spans.
 	for _, r := range recs {
-		if r.K != "s" {
+		if r.K != "s" || r.R < 0 {
 			continue
 		}
 		start := alignedT(r.R, r.T0) - t0

@@ -1,4 +1,4 @@
-package trace
+package obs
 
 import (
 	"bytes"
@@ -11,9 +11,9 @@ import (
 // on the relative µs axis, and a matched send→recv flow arrow pair.
 func TestWriteChromeGolden(t *testing.T) {
 	recs := []Record{
-		{K: "s", R: 0, P: -1, Ph: PhaseCompute, E: 0, I: 3, T0: 1000, T1: 4000},
-		{K: "s", R: 0, P: 1, Ph: PhaseHaloWait, E: 0, I: 3, TS: 5500, T0: 4000, T1: 6000},
-		{K: "s", R: 1, P: -1, Ph: PhaseCompute, E: 0, I: 3, T0: 1000, T1: 5000},
+		{K: "s", R: 0, P: -1, Ph: "compute", E: 0, I: 3, T0: 1000, T1: 4000},
+		{K: "s", R: 0, P: 1, Ph: "halo-wait", E: 0, I: 3, TS: 5500, T0: 4000, T1: 6000},
+		{K: "s", R: 1, P: -1, Ph: "compute", E: 0, I: 3, T0: 1000, T1: 5000},
 		{K: "m", R: 1, P: 0, Kd: KindHalo, E: 0, I: 3, B: 256, TS: 5500, T: 5500},
 		{K: "v", R: 0, P: 1, Kd: KindHalo, E: 0, I: 3, B: 256, TS: 5500, T: 5900},
 	}
@@ -52,10 +52,10 @@ func TestWriteChromeGolden(t *testing.T) {
 // on the same aligned axis as rank 0's.
 func TestWriteChromeAlignsSkewedRanks(t *testing.T) {
 	recs := []Record{
-		{K: "s", R: 0, P: -1, Ph: PhaseCompute, E: 0, I: 0, T0: 0, T1: 1000},
+		{K: "s", R: 0, P: -1, Ph: "compute", E: 0, I: 0, T0: 0, T1: 1000},
 		// Rank 1 did the same work over the same true interval, but its
 		// local clock reads 1000ns ahead.
-		{K: "s", R: 1, P: -1, Ph: PhaseCompute, E: 0, I: 0, T0: 1000, T1: 2000},
+		{K: "s", R: 1, P: -1, Ph: "compute", E: 0, I: 0, T0: 1000, T1: 2000},
 		// Symmetric offset observations: each rank estimates the other.
 		{K: "o", R: 0, P: 1, Off: 1000, RTT: 10, T: 0},
 		{K: "o", R: 1, P: 0, Off: -1000, RTT: 10, T: 0},

@@ -146,9 +146,11 @@ func TestHTTPScrapeUnderLoad(t *testing.T) {
 			defer wg.Done()
 			c := rt.Registry().Counter("samr_load_total", "Load test.",
 				Label{Key: "rank", Value: strconv.Itoa(r)})
+			rec := rt.Recorder(r)
 			for i := 0; i < updates; i++ {
 				c.Inc()
-				rt.Span(PhaseCompute, r, i).End()
+				rec.SetPos(0, i)
+				rec.Span(PhaseCompute).End()
 			}
 		}()
 	}

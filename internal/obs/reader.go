@@ -1,4 +1,4 @@
-package trace
+package obs
 
 import (
 	"bufio"
@@ -8,7 +8,7 @@ import (
 	"io"
 )
 
-// Record is one decoded JSONL trace record. K selects the kind and which
+// Record is one decoded span-log record. K selects the kind and which
 // fields are meaningful:
 //
 //	"s" span:    R, Ph, E, I, T0, T1; P ≥ 0 and TS on gated wait spans
@@ -35,7 +35,7 @@ type Record struct {
 	St  string `json:"st,omitempty"`
 }
 
-// ReadRecords decodes a JSONL trace log leniently: malformed lines — the
+// ReadRecords decodes a JSONL span log leniently: malformed lines — the
 // usual casualty is a final line truncated when a soak is killed mid-write —
 // are skipped and counted instead of aborting the whole analysis. Only I/O
 // errors are returned. Records keep file order.
@@ -56,7 +56,7 @@ func ReadRecords(r io.Reader) (recs []Record, skipped int, err error) {
 		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("trace: read records: %w", err)
+		return nil, 0, fmt.Errorf("obs: read records: %w", err)
 	}
 	return recs, skipped, nil
 }

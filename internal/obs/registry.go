@@ -1,15 +1,24 @@
 // Package obs is the runtime's observability layer: a dependency-free,
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
-// histograms), lightweight phase spans feeding per-phase wall-time
-// histograms and a JSONL event log, and an opt-in HTTP endpoint serving
+// histograms), one span system, and an opt-in HTTP endpoint serving
 // Prometheus-text /metrics, a /state JSON snapshot, /healthz, and pprof.
 //
-// Everything is zero-value-off: a nil *Registry returns nil handles, and
-// every handle method on a nil receiver is a no-op, so instrumented code
-// pays only a nil check when observability is not configured. Hot-path
-// updates on live handles are allocation-free (pre-registered handles,
-// atomics, no map lookups per observation — proven by the package's
-// allocs/op benchmarks).
+// Every rank (and the single-process engine, as rank -1) records through
+// a Recorder. One span call feeds the samr_phase_seconds{phase} histogram
+// and, when the runtime has a span log, writes a JSONL span record tagged
+// (rank, epoch, iter, phase). With a log, recorders also write send/recv
+// records matched through a trace context on the wire, heartbeat clock
+// offsets, and straggler verdicts. Stitch assembles a log into a global
+// timeline with a per-iteration critical path, and WriteChrome renders it
+// for Perfetto.
+//
+// Everything is zero-value-off: a nil *Runtime yields nil recorders and a
+// nil *Registry nil handles, and every method on a nil receiver is a
+// no-op, so instrumented code pays only a nil check when observability is
+// not configured and results stay bit-identical. Hot-path updates on live
+// handles and span records are allocation-free (pre-registered handles,
+// atomics, hand-encoded JSONL into a reused buffer — proven by the
+// package's allocs/op benchmarks).
 package obs
 
 import (

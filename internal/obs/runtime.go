@@ -8,40 +8,62 @@ import (
 )
 
 // Phase is the span taxonomy: the runtime activities whose wall time the
-// observability layer breaks down, one histogram instance per phase.
+// observability layer breaks down. Each phase has one samr_phase_seconds
+// histogram, and its String is the "ph" field of span records. The order
+// follows the paper's loop (sense, partition, redistribute) and then one
+// SPMD iteration (pack, compute, halo-wait, unpack, advance, dt-wait).
 type Phase uint8
 
 const (
 	// PhaseSense is a monitor sensing sweep.
 	PhaseSense Phase = iota
-	// PhasePartition is a partitioner invocation (including validation and
-	// fallbacks).
+	// PhasePartition is a partitioner invocation (including validation,
+	// fallbacks and, in SPMD runs, the group-local gather).
 	PhasePartition
-	// PhaseRemap is the movement-aware owner relabeling.
+	// PhaseRemap is the engine's movement-aware owner relabeling.
 	PhaseRemap
-	// PhaseCompute is patch integration (interior or boundary).
-	PhaseCompute
-	// PhaseHaloWait is time blocked on remote ghost regions.
-	PhaseHaloWait
-	// PhaseMigrate is patch redistribution after a repartition.
+	// PhasePlan is communication-plan construction: ghost-exchange and
+	// migration plans derived from the shared assignment.
+	PhasePlan
+	// PhaseMigrate is redistribution work other than packing and waiting:
+	// retained-patch copies and allocation of incoming patches.
 	PhaseMigrate
+	// PhaseMigWait is time blocked on one peer's migration frame.
+	PhaseMigWait
+	// PhasePack is packing one peer's halo or migration frame.
+	PhasePack
+	// PhaseCompute is patch integration: interior patches in SPMD runs, the
+	// whole hierarchy advance in the engine.
+	PhaseCompute
+	// PhaseHaloWait is time blocked on one peer's ghost-region frame.
+	PhaseHaloWait
+	// PhaseUnpack is applying one received frame.
+	PhaseUnpack
+	// PhaseAdvance is the SPMD boundary-patch steps after the halo arrived.
+	PhaseAdvance
+	// PhaseDtWait is the global dt agreement.
+	PhaseDtWait
 	// PhaseCheckpoint is the synchronous part of writing a checkpoint.
 	PhaseCheckpoint
-	// PhasePlan is communication-plan construction: each rank deriving its
-	// own ghost-exchange and migration plans from the shared assignment.
-	PhasePlan
 	// NumPhases bounds the taxonomy.
 	NumPhases
 )
 
+// PhaseIdle and PhaseUntracked name critical-path time the stitcher
+// synthesizes where no span was recorded. They are never recorded.
+const (
+	PhaseIdle      = "idle"
+	PhaseUntracked = "untracked"
+)
+
 // phaseNames indexes Phase.String.
 var phaseNames = [NumPhases]string{
-	"sense", "partition", "remap", "compute", "halo-wait", "migrate", "checkpoint",
-	"plan-build",
+	"sense", "partition", "remap", "plan", "migrate", "mig-wait", "pack",
+	"compute", "halo-wait", "unpack", "advance", "dt-wait", "checkpoint",
 }
 
-// String returns the phase's wire name (used as metric label and event
-// field).
+// String returns the phase's wire name (the metric label and the span
+// record's "ph" field).
 func (p Phase) String() string {
 	if p < NumPhases {
 		return phaseNames[p]
@@ -63,18 +85,21 @@ type Config struct {
 	// Seed derives the run ID deterministically; 0 seeds from the wall
 	// clock, so unrelated runs get distinct IDs.
 	Seed int64
-	// Events, when non-nil, receives the JSONL event log.
-	Events io.Writer
+	// Trace, when non-nil, receives the JSONL span log: one record per
+	// span plus the message, clock-offset and straggler-verdict records
+	// that cmd/tracepath stitches. It also switches on the wire trace
+	// context and the heartbeat clock stamps.
+	Trace io.Writer
 }
 
 // Runtime bundles one run's observability: the metrics registry, the
-// per-phase wall-time histograms, the event log, and the state providers
-// behind the /state endpoint. The nil runtime disables everything: spans
-// cost a nil check, handles discard updates, and results are bit-identical
-// to an uninstrumented run.
+// per-phase wall-time histograms, the span log, and the state providers
+// behind the /state endpoint. The nil runtime disables everything: its
+// recorders are nil, handles discard updates, and results are
+// bit-identical to an uninstrumented run.
 type Runtime struct {
 	reg   *Registry
-	ev    *EventLog
+	log   *spanLog
 	runID string
 	start time.Time
 	phase [NumPhases]*Histogram
@@ -83,8 +108,8 @@ type Runtime struct {
 	state map[string]func() any
 }
 
-// New builds a runtime with a fresh registry and, when cfg.Events is set,
-// a JSONL event log.
+// New builds a runtime with a fresh registry and, when cfg.Trace is set,
+// a span log.
 func New(cfg Config) *Runtime {
 	seed := cfg.Seed
 	if seed == 0 {
@@ -96,8 +121,8 @@ func New(cfg Config) *Runtime {
 		start: time.Now(),
 		state: map[string]func() any{},
 	}
-	if cfg.Events != nil {
-		rt.ev = NewEventLog(cfg.Events, rt.runID)
+	if cfg.Trace != nil {
+		rt.log = newSpanLog(cfg.Trace)
 	}
 	for p := Phase(0); p < NumPhases; p++ {
 		rt.phase[p] = rt.reg.Histogram("samr_phase_seconds",
@@ -108,7 +133,7 @@ func New(cfg Config) *Runtime {
 }
 
 // RunID derives a stable run identifier from a seed (splitmix64), so runs
-// seeded identically produce identical event streams up to timing fields.
+// seeded identically report the same ID on /healthz and /state.
 func RunID(seed int64) string {
 	z := uint64(seed) + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -142,40 +167,18 @@ func (rt *Runtime) Uptime() time.Duration {
 	return time.Since(rt.start)
 }
 
-// Span is an in-flight phase timing. The zero Span (from the nil runtime)
-// makes End a no-op. Spans are values: starting and ending one allocates
-// nothing.
-type Span struct {
-	rt    *Runtime
-	phase Phase
-	rank  int32
-	iter  int32
-	start time.Time
-}
-
-// Span starts a phase span for (rank, iter). Use rank -1 for the
-// single-process engine.
-func (rt *Runtime) Span(p Phase, rank, iter int) Span {
+// Recorder returns rank's recording handle; the single-process engine
+// uses rank -1. The nil runtime yields the nil recorder, on which every
+// method is a no-op.
+func (rt *Runtime) Recorder(rank int) *Recorder {
 	if rt == nil {
-		return Span{}
+		return nil
 	}
-	return Span{rt: rt, phase: p, rank: int32(rank), iter: int32(iter), start: time.Now()}
-}
-
-// End closes the span: the duration feeds the phase histogram and, when an
-// event log is configured, one JSONL line.
-func (s Span) End() { s.EndBytes(0) }
-
-// EndBytes is End carrying a byte count (halo or migration volume) into
-// the event.
-func (s Span) EndBytes(bytes int64) {
-	if s.rt == nil {
-		return
+	r := &Recorder{phase: &rt.phase, log: rt.log, rank: int32(rank)}
+	if rt.log != nil {
+		r.lastDelta = make(map[int32]int64)
 	}
-	d := time.Since(s.start)
-	s.rt.phase[s.phase].Observe(d.Seconds())
-	s.rt.ev.span(time.Since(s.rt.start).Seconds(), int(s.rank), int(s.iter),
-		s.phase.String(), d.Seconds(), bytes)
+	return r
 }
 
 // PhaseHistogram exposes one phase's histogram (nil on the nil runtime).
@@ -186,20 +189,13 @@ func (rt *Runtime) PhaseHistogram(p Phase) *Histogram {
 	return rt.phase[p]
 }
 
-// Event emits a free-form event line (no-op without an event log).
-func (rt *Runtime) Event(name string, rank, iter int, value float64) {
-	if rt == nil {
-		return
-	}
-	rt.ev.event(time.Since(rt.start).Seconds(), rank, iter, name, value)
-}
-
-// Flush drains the event log (no-op on the nil runtime or without a log).
+// Flush drains the span log and reports its first write error (nil on the
+// nil runtime or without a log).
 func (rt *Runtime) Flush() error {
 	if rt == nil {
 		return nil
 	}
-	return rt.ev.Flush()
+	return rt.log.Flush()
 }
 
 // SetState registers a named snapshot provider for the /state endpoint.

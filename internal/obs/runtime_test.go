@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -14,13 +15,14 @@ func TestNilRuntimeIsOff(t *testing.T) {
 	if rt.RunIDString() != "" || rt.Uptime() != 0 {
 		t.Error("nil runtime metadata must be zero")
 	}
-	sp := rt.Span(PhaseCompute, 0, 0)
-	sp.End()
-	sp.EndBytes(10)
+	rec := rt.Recorder(0)
+	if rec != nil {
+		t.Error("nil runtime must yield nil recorder")
+	}
+	rec.Span(PhaseCompute).End()
 	if rt.PhaseHistogram(PhaseCompute) != nil {
 		t.Error("nil runtime must expose nil histograms")
 	}
-	rt.Event("x", 0, 0, 1)
 	rt.SetState("x", func() any { return 1 })
 	if err := rt.Flush(); err != nil {
 		t.Errorf("nil flush: %v", err)
@@ -28,44 +30,46 @@ func TestNilRuntimeIsOff(t *testing.T) {
 }
 
 func TestRuntimeSpans(t *testing.T) {
-	var sb strings.Builder
-	rt := New(Config{Seed: 42, Events: &sb})
+	var buf bytes.Buffer
+	rt := New(Config{Seed: 42, Trace: &buf})
 	if rt.RunIDString() != RunID(42) {
 		t.Errorf("run ID = %q, want %q", rt.RunIDString(), RunID(42))
 	}
 
-	sp := rt.Span(PhaseHaloWait, 3, 17)
+	rec := rt.Recorder(3)
+	rec.SetPos(0, 17)
+	sp := rec.WaitSpan(PhaseHaloWait, 1)
 	time.Sleep(time.Millisecond)
-	sp.EndBytes(2048)
-	rt.Span(PhaseCompute, 3, 17).End()
-	rt.Event("fallback", -1, 17, 1)
+	sp.End()
+	rec.Span(PhaseCompute).End()
+	rt.Recorder(-1).Span(PhaseSense).End()
 	if err := rt.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	h := rt.PhaseHistogram(PhaseHaloWait)
-	if h.Count() != 1 || h.Sum() <= 0 {
+	if h.Count() != 1 || h.Sum() < 1e-3 {
 		t.Errorf("halo-wait histogram count=%d sum=%g", h.Count(), h.Sum())
 	}
 	if rt.PhaseHistogram(PhaseCompute).Count() != 1 {
 		t.Error("compute span not recorded")
 	}
 
-	evs, err := ReadEvents(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
+	recs, skipped, err := ReadRecords(&buf)
+	if err != nil || skipped != 0 {
+		t.Fatalf("read: err=%v skipped=%d", err, skipped)
 	}
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3", len(evs))
+	if len(recs) != 3 {
+		t.Fatalf("got %d records, want 3", len(recs))
 	}
-	if evs[0].Phase != "halo-wait" || evs[0].Bytes != 2048 || evs[0].Rank != 3 || evs[0].Iter != 17 {
-		t.Errorf("span event = %+v", evs[0])
+	if recs[0].Ph != "halo-wait" || recs[0].R != 3 || recs[0].I != 17 || recs[0].P != 1 {
+		t.Errorf("span record = %+v", recs[0])
 	}
-	if evs[0].DurS <= 0 {
-		t.Errorf("span duration = %g", evs[0].DurS)
+	if recs[0].T1-recs[0].T0 < int64(time.Millisecond) {
+		t.Errorf("span duration = %d ns", recs[0].T1-recs[0].T0)
 	}
-	if evs[2].Name != "fallback" {
-		t.Errorf("free-form event = %+v", evs[2])
+	if recs[2].R != -1 || recs[2].Ph != "sense" {
+		t.Errorf("engine span record = %+v", recs[2])
 	}
 
 	// The per-phase histograms must all be registered up front so the
@@ -81,8 +85,32 @@ func TestRuntimeSpans(t *testing.T) {
 	}
 }
 
+// TestMetricsOnlyRecorder proves a runtime without a span log still feeds
+// the phase histograms, but is not Traced and writes no message, offset or
+// verdict state: the wire stays as it is with observability off.
+func TestMetricsOnlyRecorder(t *testing.T) {
+	rt := New(Config{Seed: 1})
+	rec := rt.Recorder(0)
+	if rec.Traced() {
+		t.Fatal("recorder without a span log reports Traced")
+	}
+	rec.Span(PhaseCompute).End()
+	rec.WaitSpan(PhaseDtWait, 1).EndGated(7)
+	rec.ObserveHeartbeat(1, rec.Now(), 5)
+	if rec.HBDelta(1) != 0 {
+		t.Error("untraced recorder kept a heartbeat delta")
+	}
+	if rt.PhaseHistogram(PhaseCompute).Count() != 1 || rt.PhaseHistogram(PhaseDtWait).Count() != 1 {
+		t.Error("untraced spans did not feed the histograms")
+	}
+	if err := rt.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPhaseNames(t *testing.T) {
-	want := []string{"sense", "partition", "remap", "compute", "halo-wait", "migrate", "checkpoint", "plan-build"}
+	want := []string{"sense", "partition", "remap", "plan", "migrate", "mig-wait", "pack",
+		"compute", "halo-wait", "unpack", "advance", "dt-wait", "checkpoint"}
 	ps := Phases()
 	if len(ps) != len(want) {
 		t.Fatalf("got %d phases, want %d", len(ps), len(want))
@@ -94,5 +122,17 @@ func TestPhaseNames(t *testing.T) {
 	}
 	if Phase(200).String() != "phase(200)" {
 		t.Errorf("out-of-range phase name = %q", Phase(200).String())
+	}
+}
+
+func TestRunIDDeterministic(t *testing.T) {
+	if RunID(42) != RunID(42) {
+		t.Error("same seed must give same run ID")
+	}
+	if RunID(1) == RunID(2) {
+		t.Error("distinct seeds must give distinct run IDs")
+	}
+	if !strings.HasPrefix(RunID(7), "run-") || len(RunID(7)) != len("run-")+16 {
+		t.Errorf("run ID shape: %q", RunID(7))
 	}
 }

@@ -1,18 +1,4 @@
-// Package trace is the distributed-tracing layer for the SPMD runtime: each
-// rank appends span records (rank, epoch, iter, phase) and message-level
-// send/recv records to a shared JSONL log, heartbeat piggybacks feed an
-// NTP-style pairwise clock-offset estimator, and the stitcher (Stitch)
-// assembles the per-rank logs into a global iteration DAG with a
-// per-iteration critical path attributing wall-clock to (rank, phase,
-// blocking-peer).
-//
-// The package follows the repo's observability contract: a nil *Recorder is
-// a no-op on every method, the steady-state record paths allocate nothing
-// (hand-encoded JSONL over a locked bufio.Writer, like obs.EventLog), and
-// tracing never changes simulation results — the trace context rides the
-// wire in a versioned header extension that old decoders reject loudly and
-// current ones strip before the payload is applied.
-package trace
+package obs
 
 import (
 	"bufio"
@@ -22,64 +8,30 @@ import (
 	"time"
 )
 
-// Phase names used in span records. They spell out the iteration DAG
-// compute → pack → send → recv → unpack → advance plus the control-plane
-// phases around it.
-const (
-	PhasePartition  = "partition"
-	PhasePlan       = "plan"
-	PhaseMigrate    = "migrate"
-	PhaseMigWait    = "mig-wait"
-	PhasePack       = "pack"
-	PhaseCompute    = "compute"
-	PhaseHaloWait   = "halo-wait"
-	PhaseUnpack     = "unpack"
-	PhaseAdvance    = "advance"
-	PhaseDtWait     = "dt-wait"
-	PhaseCheckpoint = "checkpoint"
-
-	// PhaseIdle and PhaseUntracked are synthesized by the stitcher for
-	// critical-path time not covered by any recorded span.
-	PhaseIdle      = "idle"
-	PhaseUntracked = "untracked"
-)
-
 // Message kinds on send/recv records.
 const (
 	KindHalo = "h"
 	KindMig  = "g"
 )
 
-// Log is the shared trace sink: a locked, buffered JSONL writer. One Log
-// serves every rank of an in-process group (records carry the rank); a
+// spanLog is the shared span sink: a locked, buffered JSONL writer. One log
+// serves every recorder of a runtime (records carry the rank); a
 // distributed deployment would open one per process and hand the stitcher
-// all the files.
-type Log struct {
-	mu   sync.Mutex
-	w    *bufio.Writer
-	buf  []byte
-	skew map[int]int64
-	err  error
+// all the files. Records are hand-encoded into a reused scratch buffer, so
+// the steady-state record paths allocate nothing.
+type spanLog struct {
+	mu  sync.Mutex
+	w   *bufio.Writer
+	buf []byte
+	err error
 }
 
-// NewLog returns a Log writing JSONL records to w.
-func NewLog(w io.Writer) *Log {
-	return &Log{w: bufio.NewWriterSize(w, 1<<16)}
-}
-
-// SetSkew injects a fixed clock skew (ns) for rank's recorders, so tests can
-// prove the offset estimator recovers known skews. Call before Recorder.
-func (l *Log) SetSkew(rank int, ns int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.skew == nil {
-		l.skew = make(map[int]int64)
-	}
-	l.skew[rank] = ns
+func newSpanLog(w io.Writer) *spanLog {
+	return &spanLog{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
 // Flush drains the buffered writer and reports the first write error.
-func (l *Log) Flush() error {
+func (l *spanLog) Flush() error {
 	if l == nil {
 		return nil
 	}
@@ -91,36 +43,24 @@ func (l *Log) Flush() error {
 	return l.err
 }
 
-// Recorder returns rank's per-rank recording handle. A nil Log yields a nil
-// Recorder, and every Recorder method is a cheap no-op on nil — runners keep
-// unconditional call sites.
-func (l *Log) Recorder(rank int) *Recorder {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	skew := l.skew[rank]
-	l.mu.Unlock()
-	return &Recorder{
-		log:       l,
-		rank:      int32(rank),
-		skew:      skew,
-		lastDelta: make(map[int32]int64),
-	}
-}
-
-// Recorder records one rank's spans, messages, clock observations, and
-// straggler verdicts. It is owned by that rank's goroutine; the current
-// (epoch, iter) position is set once per loop turn via SetPos, and spans
-// started from worker goroutines of the same rank only read it.
+// Recorder records one rank's spans and, when the runtime has a span log,
+// its messages, clock observations and straggler verdicts. It is owned by
+// that rank's goroutine: the current (epoch, iter) position is set once per
+// loop turn via SetPos, and spans started from worker goroutines of the same
+// rank only read it.
 type Recorder struct {
-	log       *Log
+	phase     *[NumPhases]*Histogram
+	log       *spanLog // nil: metrics only
 	rank      int32
-	skew      int64
+	skew      int64 // injected clock skew (ns), set by tests
 	epoch     int32
 	iter      int32
 	lastDelta map[int32]int64
 }
+
+// Traced reports whether the recorder writes records, which is also what
+// switches on the wire trace context and the heartbeat clock stamps.
+func (r *Recorder) Traced() bool { return r != nil && r.log != nil }
 
 // Now returns the rank-local clock (wall ns plus any injected skew). All
 // stamps this recorder writes or puts on the wire use it.
@@ -147,35 +87,36 @@ func (r *Recorder) Pos() (epoch, iter int32) {
 	return r.epoch, r.iter
 }
 
-// Span opens a span in phase ph at the current position. The zero Span
+// Span opens a span in phase p at the current position. The zero Span
 // (from a nil Recorder) is a no-op to End.
-func (r *Recorder) Span(ph string) Span {
+func (r *Recorder) Span(p Phase) Span {
 	if r == nil {
 		return Span{}
 	}
-	return Span{rec: r, ph: ph, peer: -1, t0: r.Now()}
+	return Span{rec: r, ph: p, peer: -1, t0: r.Now()}
 }
 
 // WaitSpan opens a blocking-wait span attributed to peer; End it with
 // EndGated to record the gating message's sender stamp for the
 // critical-path jump.
-func (r *Recorder) WaitSpan(ph string, peer int) Span {
+func (r *Recorder) WaitSpan(p Phase, peer int) Span {
 	if r == nil {
 		return Span{}
 	}
-	return Span{rec: r, ph: ph, peer: int32(peer), t0: r.Now()}
+	return Span{rec: r, ph: p, peer: int32(peer), t0: r.Now()}
 }
 
-// Span is an open interval on one rank's timeline. It is a value; End
-// writes the record.
+// Span is an open interval on one rank's timeline. It is a value: starting
+// and ending one allocates nothing.
 type Span struct {
 	rec  *Recorder
-	ph   string
+	ph   Phase
 	peer int32
 	t0   int64
 }
 
-// End closes the span and writes its record.
+// End closes the span: its duration feeds the phase histogram and, with a
+// span log, one record.
 func (s Span) End() { s.EndGated(0) }
 
 // EndGated closes a wait span whose last gating message carried the sender
@@ -186,13 +127,17 @@ func (s Span) EndGated(sendTS int64) {
 	if r == nil {
 		return
 	}
-	r.log.span(r.rank, s.ph, r.epoch, r.iter, s.peer, s.t0, r.Now(), sendTS)
+	t1 := r.Now()
+	r.phase[s.ph].Observe(float64(t1-s.t0) / 1e9)
+	if r.log != nil {
+		r.log.span(r.rank, s.ph.String(), r.epoch, r.iter, s.peer, s.t0, t1, sendTS)
+	}
 }
 
 // Send records a message of kind (KindHalo/KindMig) to peer, stamped with
 // the same sendNS that went into the wire TraceCtx.
 func (r *Recorder) Send(peer int, kind string, bytes int, sendNS int64) {
-	if r == nil {
+	if !r.Traced() {
 		return
 	}
 	r.log.msg('m', r.rank, int32(peer), kind, r.epoch, r.iter, int64(bytes), sendNS, r.Now())
@@ -202,7 +147,7 @@ func (r *Recorder) Send(peer int, kind string, bytes int, sendNS int64) {
 // msgIter, sendTS) come from the wire TraceCtx so the stitcher matches the
 // pair on the sender's coordinates.
 func (r *Recorder) Recv(peer int, kind string, bytes int, msgEpoch, msgIter int32, sendTS int64) {
-	if r == nil {
+	if !r.Traced() {
 		return
 	}
 	r.log.msg('v', r.rank, int32(peer), kind, msgEpoch, msgIter, int64(bytes), sendTS, r.Now())
@@ -212,7 +157,7 @@ func (r *Recorder) Recv(peer int, kind string, bytes int, msgEpoch, msgIter int3
 // untraced sender); the receiver's own position is used and no sender
 // stamp is available.
 func (r *Recorder) RecvUntraced(peer int, kind string, bytes int) {
-	if r == nil {
+	if !r.Traced() {
 		return
 	}
 	r.log.msg('v', r.rank, int32(peer), kind, r.epoch, r.iter, int64(bytes), 0, r.Now())
@@ -222,7 +167,7 @@ func (r *Recorder) RecvUntraced(peer int, kind string, bytes int) {
 // minus peer's send stamp, ns) for peer, to gossip back on the next
 // heartbeat. 0 means no sample yet.
 func (r *Recorder) HBDelta(peer int) int64 {
-	if r == nil {
+	if !r.Traced() {
 		return 0
 	}
 	return r.lastDelta[int32(peer)]
@@ -235,7 +180,7 @@ func (r *Recorder) HBDelta(peer int) int64 {
 //
 //	offNS ≈ peer_clock − my_clock,  rttNS = both one-way deltas summed.
 func (r *Recorder) ObserveHeartbeat(peer int, sendNS, deltaNS int64) {
-	if r == nil {
+	if !r.Traced() {
 		return
 	}
 	now := r.Now()
@@ -253,7 +198,7 @@ func (r *Recorder) ObserveHeartbeat(peer int, sendNS, deltaNS int64) {
 // target moved to state (monitor.StragglerState.String()) at the current
 // position. The stitcher dedupes the replicated copies.
 func (r *Recorder) Verdict(target int, state string) {
-	if r == nil {
+	if !r.Traced() {
 		return
 	}
 	r.log.verdict(r.rank, int32(target), r.epoch, r.iter, state, r.Now())
@@ -261,7 +206,7 @@ func (r *Recorder) Verdict(target int, state string) {
 
 // ---- locked record writers -------------------------------------------------
 
-func (l *Log) span(rank int32, ph string, epoch, iter, peer int32, t0, t1, ts int64) {
+func (l *spanLog) span(rank int32, ph string, epoch, iter, peer int32, t0, t1, ts int64) {
 	l.mu.Lock()
 	b := l.buf[:0]
 	b = append(b, `{"k":"s","r":`...)
@@ -289,7 +234,7 @@ func (l *Log) span(rank int32, ph string, epoch, iter, peer int32, t0, t1, ts in
 	l.mu.Unlock()
 }
 
-func (l *Log) msg(k byte, rank, peer int32, kind string, epoch, iter int32, bytes, ts, t int64) {
+func (l *spanLog) msg(k byte, rank, peer int32, kind string, epoch, iter int32, bytes, ts, t int64) {
 	l.mu.Lock()
 	b := l.buf[:0]
 	b = append(b, `{"k":"`...)
@@ -317,7 +262,7 @@ func (l *Log) msg(k byte, rank, peer int32, kind string, epoch, iter int32, byte
 	l.mu.Unlock()
 }
 
-func (l *Log) offset(rank, peer int32, off, rtt, t int64) {
+func (l *spanLog) offset(rank, peer int32, off, rtt, t int64) {
 	l.mu.Lock()
 	b := l.buf[:0]
 	b = append(b, `{"k":"o","r":`...)
@@ -335,7 +280,7 @@ func (l *Log) offset(rank, peer int32, off, rtt, t int64) {
 	l.mu.Unlock()
 }
 
-func (l *Log) verdict(rank, target, epoch, iter int32, state string, t int64) {
+func (l *spanLog) verdict(rank, target, epoch, iter int32, state string, t int64) {
 	l.mu.Lock()
 	b := l.buf[:0]
 	b = append(b, `{"k":"g","r":`...)
@@ -355,8 +300,8 @@ func (l *Log) verdict(rank, target, epoch, iter int32, state string, t int64) {
 	l.mu.Unlock()
 }
 
-// write appends b under l.mu, keeping the scratch buffer for reuse.
-func (l *Log) write(b []byte) {
+// write writes b under l.mu, keeping the scratch buffer for reuse.
+func (l *spanLog) write(b []byte) {
 	l.buf = b[:0]
 	if _, err := l.w.Write(b); err != nil && l.err == nil {
 		l.err = err

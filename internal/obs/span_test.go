@@ -1,4 +1,4 @@
-package trace
+package obs
 
 import (
 	"bytes"
@@ -11,8 +11,8 @@ import (
 // proves the lenient reader gets the same data back.
 func TestRecorderJSONL(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLog(&buf)
-	r := l.Recorder(3)
+	rt := New(Config{Seed: 1, Trace: &buf})
+	r := rt.Recorder(3)
 
 	r.SetPos(1, 42)
 	sp := r.Span(PhaseCompute)
@@ -23,7 +23,7 @@ func TestRecorderJSONL(t *testing.T) {
 	r.Recv(2, KindMig, 64, 0, 41, 777)
 	r.RecvUntraced(2, KindHalo, 32)
 	r.Verdict(2, "degraded")
-	if err := l.Flush(); err != nil {
+	if err := rt.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
 
@@ -34,7 +34,7 @@ func TestRecorderJSONL(t *testing.T) {
 	if len(recs) != 6 {
 		t.Fatalf("got %d records, want 6", len(recs))
 	}
-	if recs[0].K != "s" || recs[0].R != 3 || recs[0].Ph != PhaseCompute || recs[0].E != 1 || recs[0].I != 42 {
+	if recs[0].K != "s" || recs[0].R != 3 || recs[0].Ph != "compute" || recs[0].E != 1 || recs[0].I != 42 {
 		t.Errorf("span record = %+v", recs[0])
 	}
 	if recs[0].P != -1 {
@@ -43,7 +43,7 @@ func TestRecorderJSONL(t *testing.T) {
 	if recs[0].T1 < recs[0].T0 || recs[0].T0 == 0 {
 		t.Errorf("span timestamps t0=%d t1=%d", recs[0].T0, recs[0].T1)
 	}
-	if recs[1].Ph != PhaseHaloWait || recs[1].P != 1 || recs[1].TS != 999 {
+	if recs[1].Ph != "halo-wait" || recs[1].P != 1 || recs[1].TS != 999 {
 		t.Errorf("gated wait record = %+v", recs[1])
 	}
 	if recs[2].K != "m" || recs[2].P != 1 || recs[2].Kd != KindHalo || recs[2].B != 128 || recs[2].TS != 555 {
@@ -58,14 +58,21 @@ func TestRecorderJSONL(t *testing.T) {
 	if recs[5].K != "g" || recs[5].Tgt != 2 || recs[5].St != "degraded" {
 		t.Errorf("verdict record = %+v", recs[5])
 	}
+	// The same span calls fed the phase histograms.
+	if rt.PhaseHistogram(PhaseCompute).Count() != 1 || rt.PhaseHistogram(PhaseHaloWait).Count() != 1 {
+		t.Errorf("span records without histogram observations")
+	}
 }
 
 // TestNilRecorder proves the nil-off contract: every method of a nil
 // Recorder (and the zero Span it hands out) is a safe no-op.
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
-	if r != (*Log)(nil).Recorder(0) {
-		t.Fatalf("nil Log must yield nil Recorder")
+	if r != (*Runtime)(nil).Recorder(0) {
+		t.Fatalf("nil Runtime must yield nil Recorder")
+	}
+	if r.Traced() {
+		t.Fatalf("nil Recorder reports Traced")
 	}
 	r.SetPos(1, 2)
 	if e, i := r.Pos(); e != 0 || i != 0 {
@@ -81,7 +88,7 @@ func TestNilRecorder(t *testing.T) {
 	r.RecvUntraced(1, KindHalo, 1)
 	r.ObserveHeartbeat(1, 1, 1)
 	r.Verdict(1, "x")
-	if err := (*Log)(nil).Flush(); err != nil {
+	if err := (*Runtime)(nil).Flush(); err != nil {
 		t.Fatalf("nil flush: %v", err)
 	}
 }
@@ -112,10 +119,10 @@ not json at all
 // process is microseconds, far under the tolerance).
 func TestClockOffsetEstimate(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLog(&buf)
+	rt := New(Config{Seed: 1, Trace: &buf})
 	const skew = int64(5_000_000)
-	l.SetSkew(1, skew)
-	r0, r1 := l.Recorder(0), l.Recorder(1)
+	r0, r1 := rt.Recorder(0), rt.Recorder(1)
+	r1.skew = skew
 
 	// Several rounds: each rank observes the other's stamp plus the delta
 	// the SENDER last measured for this receiver, as the FT heartbeat does.
@@ -123,7 +130,7 @@ func TestClockOffsetEstimate(t *testing.T) {
 		r1.ObserveHeartbeat(0, r0.Now(), r0.HBDelta(1))
 		r0.ObserveHeartbeat(1, r1.Now(), r1.HBDelta(0))
 	}
-	if err := l.Flush(); err != nil {
+	if err := rt.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
 	recs, _, err := ReadRecords(&buf)
@@ -154,13 +161,13 @@ func TestStitchCriticalPath(t *testing.T) {
 	recs := []Record{
 		// rank 0: compute [0,100], halo-wait on rank 1 [100,500] gated by a
 		// send stamped at 450, unpack+advance [500,550]
-		{K: "s", R: 0, P: -1, Ph: PhaseCompute, E: 0, I: 7, T0: 0, T1: 100},
-		{K: "s", R: 0, P: 1, Ph: PhaseHaloWait, E: 0, I: 7, TS: 450, T0: 100, T1: 500},
-		{K: "s", R: 0, P: -1, Ph: PhaseAdvance, E: 0, I: 7, T0: 500, T1: 550},
+		{K: "s", R: 0, P: -1, Ph: "compute", E: 0, I: 7, T0: 0, T1: 100},
+		{K: "s", R: 0, P: 1, Ph: "halo-wait", E: 0, I: 7, TS: 450, T0: 100, T1: 500},
+		{K: "s", R: 0, P: -1, Ph: "advance", E: 0, I: 7, T0: 500, T1: 550},
 		// rank 1: slow compute [0,440], pack [440,450], then done at 460
-		{K: "s", R: 1, P: -1, Ph: PhaseCompute, E: 0, I: 7, T0: 0, T1: 440},
-		{K: "s", R: 1, P: -1, Ph: PhasePack, E: 0, I: 7, T0: 440, T1: 450},
-		{K: "s", R: 1, P: -1, Ph: PhaseAdvance, E: 0, I: 7, T0: 450, T1: 460},
+		{K: "s", R: 1, P: -1, Ph: "compute", E: 0, I: 7, T0: 0, T1: 440},
+		{K: "s", R: 1, P: -1, Ph: "pack", E: 0, I: 7, T0: 440, T1: 450},
+		{K: "s", R: 1, P: -1, Ph: "advance", E: 0, I: 7, T0: 450, T1: 460},
 	}
 	tl := Stitch(recs, 0)
 	if len(tl.Iters) != 1 {
@@ -177,7 +184,7 @@ func TestStitchCriticalPath(t *testing.T) {
 	// gating stamp 450) → rank0 advance.
 	var sawJump, sawWait bool
 	for i, seg := range w.Chain {
-		if seg.Rank == 0 && seg.Phase == PhaseHaloWait {
+		if seg.Rank == 0 && seg.Phase == "halo-wait" {
 			sawWait = true
 			if seg.Peer != 1 || seg.Start != 450 {
 				t.Fatalf("wait segment = %+v", seg)
@@ -206,9 +213,9 @@ func TestStitchCriticalPath(t *testing.T) {
 // untracked, and Covered still equals Wall.
 func TestStitchIdleAndUntracked(t *testing.T) {
 	recs := []Record{
-		{K: "s", R: 0, P: -1, Ph: PhaseCompute, E: 0, I: 1, T0: 0, T1: 40},
+		{K: "s", R: 0, P: -1, Ph: "compute", E: 0, I: 1, T0: 0, T1: 40},
 		// gap [40,70)
-		{K: "s", R: 0, P: -1, Ph: PhaseAdvance, E: 0, I: 1, T0: 70, T1: 100},
+		{K: "s", R: 0, P: -1, Ph: "advance", E: 0, I: 1, T0: 70, T1: 100},
 	}
 	tl := Stitch(recs, 0)
 	w := tl.Iters[0]
@@ -223,6 +230,23 @@ func TestStitchIdleAndUntracked(t *testing.T) {
 	}
 	if idle != 30 {
 		t.Fatalf("idle = %d, want 30", idle)
+	}
+}
+
+// TestStitchIgnoresEngineRank proves engine records (rank -1, no peers)
+// open no iteration window and join no rank list, so a log holding both the
+// engine and one SPMD group stitches to the group's timeline alone.
+func TestStitchIgnoresEngineRank(t *testing.T) {
+	recs := []Record{
+		{K: "s", R: -1, P: -1, Ph: "sense", E: 0, I: 1, T0: 0, T1: 500},
+		{K: "s", R: 0, P: -1, Ph: "compute", E: 0, I: 1, T0: 100, T1: 200},
+	}
+	tl := Stitch(recs, 0)
+	if len(tl.Ranks) != 1 || tl.Ranks[0] != 0 {
+		t.Fatalf("ranks = %v, want [0]", tl.Ranks)
+	}
+	if len(tl.Iters) != 1 || tl.Iters[0].Start != 100 || tl.Iters[0].End != 200 {
+		t.Fatalf("windows = %+v, want one over [100,200]", tl.Iters)
 	}
 }
 
@@ -245,19 +269,19 @@ func TestStitchVerdictDedup(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording hammers one shared Log from many goroutines (the
-// in-process SPMD shape) and checks every line survives intact — run under
-// -race this is also the data-race proof for the locked writer.
+// TestConcurrentRecording hammers one shared span log from many goroutines
+// (the in-process SPMD shape) and checks every line survives intact — run
+// under -race this is also the data-race proof for the locked writer.
 func TestConcurrentRecording(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLog(&buf)
+	rt := New(Config{Seed: 1, Trace: &buf})
 	const ranks, iters = 8, 50
 	var wg sync.WaitGroup
 	for rank := 0; rank < ranks; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			r := l.Recorder(rank)
+			r := rt.Recorder(rank)
 			for i := 0; i < iters; i++ {
 				r.SetPos(0, i)
 				sp := r.Span(PhaseCompute)
@@ -268,7 +292,7 @@ func TestConcurrentRecording(t *testing.T) {
 		}(rank)
 	}
 	wg.Wait()
-	if err := l.Flush(); err != nil {
+	if err := rt.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
 	recs, skipped, err := ReadRecords(&buf)

@@ -1,4 +1,4 @@
-package trace
+package obs
 
 import (
 	"sort"
@@ -53,7 +53,7 @@ type Verdict struct {
 	State       string
 }
 
-// Timeline is the stitched global view of a trace log.
+// Timeline is the stitched global view of a span log.
 type Timeline struct {
 	Ranks    []int
 	Offsets  map[int]int64 // rank clock − reference clock (ns); subtracted to align
@@ -78,7 +78,9 @@ type rspan struct {
 // medians align the per-rank clocks (no global clock), spans group into
 // (epoch, iter) windows, and a backward walk from each window's last
 // finisher yields the critical path. skipped is carried through from
-// ReadRecords for reporting.
+// ReadRecords for reporting. Records of rank < 0 (the single-process
+// engine, which has no peers) are ignored, and the log is assumed to hold
+// one SPMD group.
 func Stitch(recs []Record, skipped int) *Timeline {
 	tl := &Timeline{
 		Offsets: map[int]int64{},
@@ -91,6 +93,9 @@ func Stitch(recs []Record, skipped int) *Timeline {
 	rttSamples := map[[2]int][]int64{}
 	verdictSeen := map[Verdict]bool{}
 	for _, rec := range recs {
+		if rec.R < 0 {
+			continue
+		}
 		rankSet[rec.R] = true
 		switch rec.K {
 		case "o":
@@ -126,7 +131,7 @@ func Stitch(recs []Record, skipped int) *Timeline {
 	// spans overlap, so "latest started" is not always "latest running").
 	byRank := map[int][]rspan{}
 	for _, rec := range recs {
-		if rec.K != "s" {
+		if rec.K != "s" || rec.R < 0 {
 			continue
 		}
 		base := tl.Offsets[rec.R]
